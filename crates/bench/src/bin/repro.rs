@@ -18,6 +18,14 @@
 //! collected under an `exp=<id>` label, printed as an aligned table,
 //! and written to the given path as JSON (`-` for stdout).
 //!
+//! Each experiment runs once. For the seven with machine-readable
+//! results (`openscale`, `readscale`, `integrity`, `replay`,
+//! `monitorscale`, `ingestscale`, `dedupscale`) the report, the
+//! `BENCH_*.json` file and the gate verdict all come from that run.
+//! Every verdict prints after the last experiment, and `repro` exits 1
+//! if any gate failed. Gates always run; wall-clock gates expect
+//! `--release`.
+//!
 //! `repro trace <exp>` reruns a scenario with per-I/O causal tracing
 //! on, prints the critical-path attribution table, and (with `--out`)
 //! writes the span forest as Chrome trace-event JSON loadable in
@@ -330,8 +338,8 @@ fn main() {
              repro replay <log> [--mode M] [--backend SPEC] [--out <path>]\n       \
              repro monitor <scenario> [--out <timeline.jsonl>] [--prom <path>]\n\nexperiments:"
         );
-        for (id, desc) in pdsi_bench::EXPERIMENTS {
-            let _ = writeln!(out, "  {id:<10} {desc}");
+        for exp in pdsi_bench::EXPERIMENTS {
+            let _ = writeln!(out, "  {:<10} {}", exp.id, exp.desc);
         }
         let _ = writeln!(out, "\ntrace experiments:");
         for (id, desc) in pdsi_bench::TRACE_EXPERIMENTS {
@@ -346,218 +354,33 @@ fn main() {
     }
 
     let reg = obs::Registry::new();
+    let mut verdicts = Vec::new();
     for arg in &ids {
-        if arg == "all" {
-            for (id, _) in pdsi_bench::EXPERIMENTS {
-                let _ = write!(out, "{}", pdsi_bench::run_observed(id, &reg).unwrap());
+        let selected = match arg.as_str() {
+            "all" => pdsi_bench::EXPERIMENTS.iter().collect(),
+            "golden" => {
+                let _ = writeln!(out, "{}", obs::json::pretty(&pdsi_bench::headline_numbers()));
+                continue;
             }
-        } else if arg == "golden" {
-            let _ = writeln!(out, "{}", obs::json::pretty(&pdsi_bench::headline_numbers()));
-        } else {
-            match pdsi_bench::run_observed(arg, &reg) {
-                Some(report) => {
-                    let _ = write!(out, "{report}");
-                }
+            id => match pdsi_bench::experiment(id) {
+                Some(exp) => vec![exp],
                 None => {
                     eprintln!("unknown experiment {arg:?}; run with no args for the list");
                     std::process::exit(2);
                 }
-            }
-        }
-    }
-
-    // `repro openscale` (also via `all`) leaves its machine-readable
-    // results next to the reports for CI to archive.
-    if ids.iter().any(|a| a == "openscale" || a == "all") {
-        let json = obs::json::pretty(&pdsi_bench::openscale_json());
-        match std::fs::write("BENCH_openscale.json", &json) {
-            Ok(()) => {
-                let _ = writeln!(out, "(openscale data written to BENCH_openscale.json)");
-            }
-            Err(e) => {
-                eprintln!("cannot write BENCH_openscale.json: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    // Likewise for `repro readscale`: the grid is computed once, then
-    // shared between the JSON export and the regression gate. Setting
-    // READSCALE_GATE=1 (CI does) makes a warm-read bandwidth regression
-    // below the serial baseline — or an oracle mismatch — fail the run.
-    if ids.iter().any(|a| a == "readscale" || a == "all") {
-        let cells = pdsi_bench::readscale_results();
-        let json = obs::json::pretty(&pdsi_bench::readscale_json_from(&cells));
-        match std::fs::write("BENCH_readscale.json", &json) {
-            Ok(()) => {
-                let _ = writeln!(out, "(readscale data written to BENCH_readscale.json)");
-            }
-            Err(e) => {
-                eprintln!("cannot write BENCH_readscale.json: {e}");
-                std::process::exit(1);
-            }
-        }
-        if std::env::var_os("READSCALE_GATE").is_some() {
-            match pdsi_bench::readscale_gate(&cells) {
-                Ok(msg) => {
-                    let _ = writeln!(out, "({msg})");
-                }
-                Err(msg) => {
-                    eprintln!("{msg}");
+            },
+        };
+        for exp in selected {
+            let outcome = exp.run_observed(&reg);
+            let _ = write!(out, "{}", outcome.report);
+            if let Some((file, json)) = outcome.bench {
+                if let Err(e) = std::fs::write(file, obs::json::pretty(&json)) {
+                    eprintln!("cannot write {file}: {e}");
                     std::process::exit(1);
                 }
+                let _ = writeln!(out, "({} data written to {file})", exp.id);
             }
-        }
-    }
-
-    // And for `repro integrity`: verify-on-read overhead, the bit-flip
-    // detection sweep, and scrub throughput. With INTEGRITY_GATE set
-    // (CI does), anything short of 100% detection, any false positive
-    // on a clean container, or warm verified reads more than 10%
-    // behind unverified ones fails the run.
-    if ids.iter().any(|a| a == "integrity" || a == "all") {
-        let summary = pdsi_bench::integrity_results();
-        let json = obs::json::pretty(&pdsi_bench::integrity_json_from(&summary));
-        match std::fs::write("BENCH_integrity.json", &json) {
-            Ok(()) => {
-                let _ = writeln!(out, "(integrity data written to BENCH_integrity.json)");
-            }
-            Err(e) => {
-                eprintln!("cannot write BENCH_integrity.json: {e}");
-                std::process::exit(1);
-            }
-        }
-        if std::env::var_os("INTEGRITY_GATE").is_some() {
-            match pdsi_bench::integrity_gate(&summary) {
-                Ok(msg) => {
-                    let _ = writeln!(out, "({msg})");
-                }
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
-
-    // And for `repro replay`: the capture→replay summary (per-mode
-    // hashes and wall clocks, differential pair verdicts). With
-    // REPLAY_GATE set (CI does), any mode failing to reproduce the
-    // capture's delivered-byte hash, any differential pair divergence,
-    // or an unpaced timing-faithful run fails the run.
-    if ids.iter().any(|a| a == "replay" || a == "all") {
-        let summary = pdsi_bench::replay_results();
-        let json = obs::json::pretty(&pdsi_bench::replay_json_from(&summary));
-        match std::fs::write("BENCH_replay.json", &json) {
-            Ok(()) => {
-                let _ = writeln!(out, "(replay data written to BENCH_replay.json)");
-            }
-            Err(e) => {
-                eprintln!("cannot write BENCH_replay.json: {e}");
-                std::process::exit(1);
-            }
-        }
-        if std::env::var_os("REPLAY_GATE").is_some() {
-            match pdsi_bench::replay_gate(&summary) {
-                Ok(msg) => {
-                    let _ = writeln!(out, "({msg})");
-                }
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
-
-    // And for `repro monitorscale`: the continuous-telemetry grid.
-    // With MONITOR_GATE set (CI does), any alert on the clean run, a
-    // degraded run whose objectives fail to fire (or whose exemplar
-    // trace ids don't resolve in the Chrome export), a fault-injection
-    // spike landing in the wrong flight-recorder frame, or a crash
-    // frame without the surfaced errors fails the run.
-    if ids.iter().any(|a| a == "monitorscale" || a == "all") {
-        let summary = pdsi_bench::monitorscale_results();
-        let json = obs::json::pretty(&pdsi_bench::monitor_json_from(&summary));
-        match std::fs::write("BENCH_monitor.json", &json) {
-            Ok(()) => {
-                let _ = writeln!(out, "(monitor data written to BENCH_monitor.json)");
-            }
-            Err(e) => {
-                eprintln!("cannot write BENCH_monitor.json: {e}");
-                std::process::exit(1);
-            }
-        }
-        if std::env::var_os("MONITOR_GATE").is_some() {
-            match pdsi_bench::monitor_gate(&summary) {
-                Ok(msg) => {
-                    let _ = writeln!(out, "({msg})");
-                }
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
-
-    // And for `repro ingestscale`: the sharded ingest service's
-    // shard-scaling grid under the 1000-client swarm. With INGEST_GATE
-    // set (CI does), a read-back mismatch, 8-shard bandwidth below 3x
-    // the 1-shard baseline, or group-commit fan-in under 8 logical
-    // writes per index fsync fails the run.
-    if ids.iter().any(|a| a == "ingestscale" || a == "all") {
-        let cells = pdsi_bench::ingest_results();
-        let json = obs::json::pretty(&pdsi_bench::ingest_json_from(&cells));
-        match std::fs::write("BENCH_ingest.json", &json) {
-            Ok(()) => {
-                let _ = writeln!(out, "(ingest data written to BENCH_ingest.json)");
-            }
-            Err(e) => {
-                eprintln!("cannot write BENCH_ingest.json: {e}");
-                std::process::exit(1);
-            }
-        }
-        if std::env::var_os("INGEST_GATE").is_some() {
-            match pdsi_bench::ingest_gate(&cells) {
-                Ok(msg) => {
-                    let _ = writeln!(out, "({msg})");
-                }
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
-
-    // And for `repro dedupscale`: the content-addressed chunk layer's
-    // repeated-checkpoint grid. With DEDUP_GATE set (CI does), a dedup
-    // ratio under 5x, a plain-vs-chunked differential divergence, a GC
-    // sweep that misses an orphan or touches a referenced chunk, or a
-    // dirty pool scrub fails the run.
-    if ids.iter().any(|a| a == "dedupscale" || a == "all") {
-        let summary = pdsi_bench::dedup_results();
-        let json = obs::json::pretty(&pdsi_bench::dedup_json_from(&summary));
-        match std::fs::write("BENCH_dedup.json", &json) {
-            Ok(()) => {
-                let _ = writeln!(out, "(dedup data written to BENCH_dedup.json)");
-            }
-            Err(e) => {
-                eprintln!("cannot write BENCH_dedup.json: {e}");
-                std::process::exit(1);
-            }
-        }
-        if std::env::var_os("DEDUP_GATE").is_some() {
-            match pdsi_bench::dedup_gate(&summary) {
-                Ok(msg) => {
-                    let _ = writeln!(out, "({msg})");
-                }
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    std::process::exit(1);
-                }
-            }
+            verdicts.extend(outcome.gate);
         }
     }
 
@@ -573,5 +396,24 @@ fn main() {
         } else {
             let _ = writeln!(out, "(written to {path})");
         }
+    }
+
+    // Every gate's verdict, after all experiments have run, so one
+    // failure never hides another.
+    let mut failed = false;
+    for verdict in verdicts {
+        match verdict {
+            Ok(msg) => {
+                let _ = writeln!(out, "({msg})");
+            }
+            Err(msg) => {
+                let _ = out.flush();
+                eprintln!("{msg}");
+                failed = true;
+            }
+        }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }

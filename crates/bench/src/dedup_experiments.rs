@@ -11,7 +11,7 @@
 //! store against a chunked store on capture logs with read-backs — the
 //! layer must be observationally invisible.
 //!
-//! The reproduction claims, CI-gated by `DEDUP_GATE=1 repro dedupscale`:
+//! The reproduction claims, gated by `repro dedupscale`:
 //!
 //! 1. dedup ratio (logical bytes / pool bytes) is at least 5x on the
 //!    10-iteration repeated-checkpoint workload;
@@ -25,6 +25,7 @@ use std::fmt::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::Outcome;
 use obs::trace::TraceCtx;
 use obs::Registry;
 use plfs::backend::{Backend, MemBackend};
@@ -293,9 +294,9 @@ pub fn dedup_gate(s: &DedupSummary) -> Result<String, String> {
     ))
 }
 
-/// The `dedupscale` experiment report (also emits the metric series the
-/// schema tests assert on).
-pub fn dedup_report(reg: &Registry) -> String {
+/// The `dedupscale` experiment (its report also emits the metric series
+/// the schema tests assert on).
+pub fn dedup_experiment(reg: &Registry) -> Outcome {
     const ITER_NAMES: [&str; 10] = ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9"];
     let s = dedup_results();
     let mut out = String::new();
@@ -389,7 +390,11 @@ pub fn dedup_report(reg: &Registry) -> String {
         "(full per-iteration detail goes to BENCH_dedup.json; stack your own runs\n\
          with `repro replay <log> --backend chunked`)"
     );
-    out
+    Outcome {
+        report: out,
+        bench: Some(("BENCH_dedup.json", dedup_json_from(&s))),
+        gate: Some(dedup_gate(&s)),
+    }
 }
 
 /// The `BENCH_dedup.json` payload for an already-computed summary.
@@ -449,27 +454,44 @@ pub fn dedup_json_from(s: &DedupSummary) -> obs::json::Value {
     ])
 }
 
-/// The `BENCH_dedup.json` payload (fresh run).
-pub fn dedup_json() -> obs::json::Value {
-    dedup_json_from(&dedup_results())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The full grid passes its own gate — the same check
-    /// `DEDUP_GATE=1 repro dedupscale` enforces in CI.
+    /// The full grid passes its own gate, and the report, the BENCH
+    /// JSON and the gate all read one run. Wall-clock times are the only
+    /// numbers that differ between two runs, so the report's per-iteration
+    /// `wall (ms)` column must equal the JSON's `wall_ns` exactly.
     #[test]
-    fn dedupscale_passes_its_gate() {
-        let s = dedup_results();
-        if let Err(e) = dedup_gate(&s) {
+    fn dedupscale_report_json_and_gate_share_one_run() {
+        let out = dedup_experiment(&Registry::new());
+        if let Some(Err(e)) = &out.gate {
             panic!("{e}");
         }
-        assert_eq!(s.iters.len(), s.iterations as usize);
+        assert!(out.gate.is_some(), "dedupscale must be gated");
+        let (file, json) = out.bench.expect("dedupscale writes a BENCH file");
+        assert_eq!(file, "BENCH_dedup.json");
+        let iters = json.get("iters").and_then(|v| v.as_arr()).expect("iters array");
+        let field = |c: &obs::json::Value, k: &str| c.get(k).and_then(|v| v.as_i64()).unwrap();
+        assert_eq!(iters.len() as i64, field(&json, "iterations"));
         // Iteration 0 seeds the pool; later iterations mostly hit it.
-        assert!(s.iters[0].new_blobs > 0);
-        let late_hits: u64 = s.iters[1..].iter().map(|c| c.new_dedup_hits).sum();
+        assert!(field(&iters[0], "new_blobs") > 0);
+        let late_hits: i64 = iters[1..].iter().map(|c| field(c, "new_dedup_hits")).sum();
         assert!(late_hits > 0, "repeat iterations never hit the pool");
+
+        let rows: Vec<&str> = out
+            .report
+            .lines()
+            .skip_while(|l| !l.ends_with("wall (ms)"))
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .collect();
+        assert_eq!(rows.len(), iters.len(), "one report row per iteration");
+        for (row, c) in rows.iter().zip(iters) {
+            let cols: Vec<&str> = row.split_whitespace().collect();
+            assert_eq!(cols[0], field(c, "iter").to_string());
+            let wall_ms = format!("{:.2}", field(c, "wall_ns") as f64 / 1e6);
+            assert_eq!(*cols.last().unwrap(), wall_ms, "iteration {}: report vs JSON", cols[0]);
+        }
     }
 }

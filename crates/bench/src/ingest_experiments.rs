@@ -17,16 +17,17 @@
 //! metadata stay fast.
 //!
 //! Grid: shards ∈ {1, 2, 4, 8}, same 1000-client segmented swarm each
-//! time. With `INGEST_GATE` set (CI), the run fails unless the final
-//! file is byte-identical to the plan everywhere, 8 shards deliver
-//! ≥ 3× the 1-shard bandwidth, and steady-state group-commit fan-in at
-//! 8 shards is ≥ 8 logical writes per index fsync.
+//! time. The gate fails `repro` unless the final file is byte-identical
+//! to the plan everywhere, 8 shards deliver ≥ 3× the 1-shard bandwidth,
+//! and steady-state group-commit fan-in at 8 shards is ≥ 8 logical
+//! writes per index fsync.
 
 use std::fmt::Write;
 use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::Outcome;
 use obs::Registry;
 use plfs::backend::Backend;
 use plfs::{pool, IngestService, MemBackend, Plfs, PlfsConfig, ServiceConfig};
@@ -263,7 +264,7 @@ fn header(out: &mut String, title: &str) {
 /// The `ingestscale` experiment report: the shard-scaling table plus
 /// group-commit and backpressure accounting, every number recorded as
 /// a metric series.
-pub fn ingest_report(reg: &Registry) -> String {
+pub fn ingest_experiment(reg: &Registry) -> Outcome {
     let mut out = String::new();
     header(&mut out, "Sharded ingest service: 1000-client swarm, paced store");
     let _ = writeln!(
@@ -309,7 +310,11 @@ pub fn ingest_report(reg: &Registry) -> String {
          wall-clock cells are exported to BENCH_ingest.json by `repro ingestscale`)",
         PACE_FLOOR_NS / 1000
     );
-    out
+    Outcome {
+        report: out,
+        bench: Some(("BENCH_ingest.json", ingest_json_from(&cells))),
+        gate: Some(ingest_gate(&cells)),
+    }
 }
 
 /// The `BENCH_ingest.json` payload for an already-computed grid.
@@ -337,9 +342,4 @@ pub fn ingest_json_from(cells: &[IngestCell]) -> obs::json::Value {
         })
         .collect();
     obs::json::Value::Obj(vec![("cells".into(), Value::Arr(cells))])
-}
-
-/// The `BENCH_ingest.json` payload (fresh grid).
-pub fn ingest_json() -> obs::json::Value {
-    ingest_json_from(&ingest_results())
 }

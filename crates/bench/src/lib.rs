@@ -1,12 +1,14 @@
 //! # pdsi-bench — experiment harness regenerating every figure and
 //! table in the PDSI final report.
 //!
-//! Each `figNN_report()` function runs the corresponding experiment on
-//! the simulators and returns the paper-style table as a string; the
-//! `repro` binary is a thin CLI over them. Absolute numbers come from
-//! the simulated substrate (see `DESIGN.md`), so the *shapes* — who
-//! wins, by what factor, where crossovers fall — are the reproduction
-//! targets, recorded against the paper in `EXPERIMENTS.md`.
+//! [`EXPERIMENTS`] is one table of every experiment. A figure row wraps
+//! a `figNN_report()` that runs the simulators and returns the
+//! paper-style table; a gated row's `*_experiment()` runs once and
+//! builds its report, BENCH JSON and gate verdict from that run. The
+//! `repro` binary is a thin CLI over the table. Absolute numbers come
+//! from the simulated substrate (see `DESIGN.md`), so the *shapes* —
+//! who wins, by what factor, where crossovers fall — are the
+//! reproduction targets, recorded against the paper in `EXPERIMENTS.md`.
 
 pub mod dedup_experiments;
 pub mod experiments;
@@ -16,96 +18,171 @@ pub mod replay_experiments;
 pub mod trace_experiments;
 
 pub use dedup_experiments::{
-    dedup_gate, dedup_json, dedup_json_from, dedup_report, dedup_results, DedupDiffCell,
-    DedupIterCell, DedupSummary,
+    dedup_experiment, dedup_gate, dedup_json_from, dedup_results, DedupDiffCell, DedupIterCell,
+    DedupSummary,
 };
 pub use experiments::*;
 pub use ingest_experiments::{
-    ingest_cell, ingest_gate, ingest_json, ingest_json_from, ingest_report, ingest_results,
-    ingest_swarm, IngestCell, PacedBackend,
+    ingest_cell, ingest_experiment, ingest_gate, ingest_json_from, ingest_results, ingest_swarm,
+    IngestCell, PacedBackend,
 };
 pub use monitor_experiments::{
-    monitor_gate, monitor_json, monitor_json_from, monitor_report, monitorscale_results,
-    run_monitor, FlakyMonitorCell, MonitorRun, MonitorSummary, SimMonitorCell, MONITOR_SCENARIOS,
+    monitor_experiment, monitor_gate, monitor_json_from, monitorscale_results, run_monitor,
+    FlakyMonitorCell, MonitorRun, MonitorSummary, SimMonitorCell, MONITOR_SCENARIOS,
 };
 pub use replay_experiments::{
-    backend_from_spec, drive_log, replay_gate, replay_json, replay_json_from, replay_report,
-    replay_results, DiffCell, ReplayModeCell, ReplaySummary,
+    backend_from_spec, drive_log, replay_experiment, replay_gate, replay_json_from, replay_results,
+    DiffCell, ReplayModeCell, ReplaySummary,
 };
 pub use trace_experiments::{run_trace, TraceRun, TRACE_EXPERIMENTS};
 
-/// All experiment ids the harness knows, with a one-line description.
-pub const EXPERIMENTS: &[(&str, &str)] = &[
-    ("fig2", "S3D checkpoint time under weak scaling + 12-hour-run prediction"),
-    ("fig3", "CDF of file sizes across eleven surveyed file systems (fsstats)"),
-    ("fig4", "interrupts linear in chips; MTTI projection to exascale"),
-    ("fig5", "effective application utilization; 50% crossing; disk growth"),
-    ("fig7", "GIGA+ create throughput vs servers (Metarates)"),
-    ("fig8", "PLFS vs direct N-1 checkpoint bandwidth on three file systems"),
-    ("fig9", "TCP incast goodput collapse and RTO fixes (1GE and 10GE)"),
-    ("fig10", "Argon performance insulation: shares under three policies"),
-    ("fig11", "flash vs disk: bandwidth and random IOPS"),
-    ("tab1", "Table 1 flash device characteristics (modeled vs published)"),
-    ("fig13", "stacked formatted-I/O optimization gains (Chombo & GCRM)"),
-    ("fig14", "sustained random-write IOPS degradation per flash device"),
-    ("fig15", "Ninjat visualization of an N-1 strided checkpoint"),
-    ("speedups", "per-application PLFS speedup table (report headline claims)"),
-    ("faults", "degraded-mode bandwidth under OSD crash/restart; PLFS retry masking"),
-    ("pnfs", "pNFS vs plain NFS aggregate bandwidth scaling"),
-    ("spyglass", "partitioned metadata search vs full scan"),
-    ("openscale", "read-open index merge scaling: sweep vs splice; flattened-index cache"),
-    ("readscale", "restart read-back: parallel coalesced engine vs serial per-piece reads"),
-    ("integrity", "end-to-end corruption detection: verify-on-read, bit-flip sweep, scrub"),
-    ("replay", "workload capture & replay: 3-mode determinism + differential engine pairs"),
-    ("monitorscale", "continuous telemetry: flight recorder, SLO burn rates, tail-sampled traces"),
-    ("ingestscale", "sharded ingest service: shard scaling, group-commit fan-in, backpressure"),
-    ("dedupscale", "content-addressed dedup: repeated-checkpoint ratio, orphan GC, chunked diff"),
-];
+use obs::Registry;
 
-/// Run one experiment by id, discarding its metrics.
-pub fn run(id: &str) -> Option<String> {
-    run_observed(id, &obs::Registry::new())
+/// What one run of an experiment produced. The report, the BENCH file
+/// and the gate verdict are all built from the same run, so the table
+/// a reader sees is the data the gate judged.
+pub struct Outcome {
+    /// The paper-style table `repro` prints.
+    pub report: String,
+    /// The machine-readable results: file name and payload.
+    pub bench: Option<(&'static str, obs::json::Value)>,
+    /// The acceptance gate's verdict (`Err` fails `repro`).
+    pub gate: Option<Result<String, String>>,
 }
 
-/// Run one experiment by id, absorbing every metric series it records
-/// into `reg` under an `exp=<id>` label. Each experiment emits at
-/// least 20 distinct series (asserted by `tests/metrics.rs`), plus the
-/// harness-level `bench.runs` / `bench.report_bytes` /
-/// `bench.report_lines`.
-pub fn run_observed(id: &str, reg: &obs::Registry) -> Option<String> {
-    let local = obs::Registry::new();
-    let report = match id {
-        "fig2" => fig2_s3d_report(&local),
-        "fig3" => fig3_fsstats_report(&local),
-        "fig4" => fig4_mtti_report(&local),
-        "fig5" => fig5_utilization_report(&local),
-        "fig7" => fig7_giga_report(&local),
-        "fig8" => fig8_plfs_report(&local),
-        "fig9" => fig9_incast_report(&local),
-        "fig10" => fig10_argon_report(&local),
-        "fig11" => fig11_flash_report(&local),
-        "tab1" => tab1_flash_table(&local),
-        "fig13" => fig13_hdf5_report(&local),
-        "fig14" => fig14_degradation_report(&local),
-        "fig15" => fig15_ninjat_report(&local),
-        "speedups" => speedup_table_report(&local),
-        "faults" => faults_report(&local),
-        "pnfs" => pnfs_report(&local),
-        "spyglass" => spyglass_report(&local),
-        "openscale" => openscale_report(&local),
-        "readscale" => readscale_report(&local),
-        "integrity" => integrity_report(&local),
-        "replay" => replay_report(&local),
-        "monitorscale" => monitor_report(&local),
-        "ingestscale" => ingest_report(&local),
-        "dedupscale" => dedup_report(&local),
-        _ => return None,
+impl Outcome {
+    /// A figure: a report with no BENCH file and no gate.
+    fn figure(report: String) -> Self {
+        Outcome { report, bench: None, gate: None }
+    }
+}
+
+/// One row of the experiment table.
+pub struct Experiment {
+    pub id: &'static str,
+    /// One-line description, listed by `repro` with no arguments.
+    pub desc: &'static str,
+    pub run: fn(&Registry) -> Outcome,
+}
+
+impl Experiment {
+    /// Run once, absorbing every metric series it records into `reg`
+    /// under an `exp=<id>` label. Each experiment emits at least 20
+    /// distinct series (asserted by `tests/metrics.rs`), plus the
+    /// harness-level `bench.runs` / `bench.report_bytes` /
+    /// `bench.report_lines`.
+    pub fn run_observed(&self, reg: &Registry) -> Outcome {
+        let local = Registry::new();
+        let outcome = (self.run)(&local);
+        local.counter("bench.runs").inc();
+        local.gauge("bench.report_bytes").set(outcome.report.len() as i64);
+        local.gauge("bench.report_lines").set(outcome.report.lines().count() as i64);
+        reg.absorb(&local.snapshot(), &[("exp", self.id)]);
+        outcome
+    }
+}
+
+macro_rules! figure {
+    ($id:literal, $desc:literal, $report:path) => {
+        Experiment { id: $id, desc: $desc, run: |reg| Outcome::figure($report(reg)) }
     };
-    local.counter("bench.runs").inc();
-    local.gauge("bench.report_bytes").set(report.len() as i64);
-    local.gauge("bench.report_lines").set(report.lines().count() as i64);
-    reg.absorb(&local.snapshot(), &[("exp", id)]);
-    Some(report)
+}
+
+/// Every experiment the harness knows, in `repro all` order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    figure!(
+        "fig2",
+        "S3D checkpoint time under weak scaling + 12-hour-run prediction",
+        fig2_s3d_report
+    ),
+    figure!(
+        "fig3",
+        "CDF of file sizes across eleven surveyed file systems (fsstats)",
+        fig3_fsstats_report
+    ),
+    figure!("fig4", "interrupts linear in chips; MTTI projection to exascale", fig4_mtti_report),
+    figure!(
+        "fig5",
+        "effective application utilization; 50% crossing; disk growth",
+        fig5_utilization_report
+    ),
+    figure!("fig7", "GIGA+ create throughput vs servers (Metarates)", fig7_giga_report),
+    figure!(
+        "fig8",
+        "PLFS vs direct N-1 checkpoint bandwidth on three file systems",
+        fig8_plfs_report
+    ),
+    figure!("fig9", "TCP incast goodput collapse and RTO fixes (1GE and 10GE)", fig9_incast_report),
+    figure!(
+        "fig10",
+        "Argon performance insulation: shares under three policies",
+        fig10_argon_report
+    ),
+    figure!("fig11", "flash vs disk: bandwidth and random IOPS", fig11_flash_report),
+    figure!(
+        "tab1",
+        "Table 1 flash device characteristics (modeled vs published)",
+        tab1_flash_table
+    ),
+    figure!("fig13", "stacked formatted-I/O optimization gains (Chombo & GCRM)", fig13_hdf5_report),
+    figure!(
+        "fig14",
+        "sustained random-write IOPS degradation per flash device",
+        fig14_degradation_report
+    ),
+    figure!("fig15", "Ninjat visualization of an N-1 strided checkpoint", fig15_ninjat_report),
+    figure!(
+        "speedups",
+        "per-application PLFS speedup table (report headline claims)",
+        speedup_table_report
+    ),
+    figure!(
+        "faults",
+        "degraded-mode bandwidth under OSD crash/restart; PLFS retry masking",
+        faults_report
+    ),
+    figure!("pnfs", "pNFS vs plain NFS aggregate bandwidth scaling", pnfs_report),
+    figure!("spyglass", "partitioned metadata search vs full scan", spyglass_report),
+    Experiment {
+        id: "openscale",
+        desc: "read-open index merge scaling: sweep vs splice; flattened-index cache",
+        run: openscale_experiment,
+    },
+    Experiment {
+        id: "readscale",
+        desc: "restart read-back: parallel coalesced engine vs serial per-piece reads",
+        run: readscale_experiment,
+    },
+    Experiment {
+        id: "integrity",
+        desc: "end-to-end corruption detection: verify-on-read, bit-flip sweep, scrub",
+        run: integrity_experiment,
+    },
+    Experiment {
+        id: "replay",
+        desc: "workload capture & replay: 3-mode determinism + differential engine pairs",
+        run: replay_experiment,
+    },
+    Experiment {
+        id: "monitorscale",
+        desc: "continuous telemetry: flight recorder, SLO burn rates, tail-sampled traces",
+        run: monitor_experiment,
+    },
+    Experiment {
+        id: "ingestscale",
+        desc: "sharded ingest service: shard scaling, group-commit fan-in, backpressure",
+        run: ingest_experiment,
+    },
+    Experiment {
+        id: "dedupscale",
+        desc: "content-addressed dedup: repeated-checkpoint ratio, orphan GC, chunked diff",
+        run: dedup_experiment,
+    },
+];
+
+/// Look an experiment up by id.
+pub fn experiment(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id == id)
 }
 
 /// The headline reproduction numbers the repo stands behind, as a JSON

@@ -25,14 +25,15 @@
 //!    with an injected crash-stop whose final frame — the forensic one
 //!    a post-mortem would read — carries the surfaced write errors.
 //!
-//! `MONITOR_GATE=1 repro monitorscale` turns those claims into a CI
-//! failure; `repro monitor <scenario>` replays any scenario with a
+//! `repro monitorscale` gates on those claims and exits 1 when one
+//! fails; `repro monitor <scenario>` replays any scenario with a
 //! per-frame dashboard and writes the JSONL timeline / Prometheus
 //! artifacts.
 
 use std::fmt::Write;
 use std::sync::Arc;
 
+use crate::Outcome;
 use obs::recorder::{counter_delta, hist_delta, Frame, Recorder};
 use obs::slo::{
     alerts_to_json, render_alerts, Alert, AlertKind, BurnWindows, Objective, SloEngine,
@@ -661,9 +662,9 @@ pub fn monitor_gate(s: &MonitorSummary) -> Result<String, String> {
     ))
 }
 
-/// The `monitorscale` experiment report (also emits the metric series
-/// the schema tests assert on).
-pub fn monitor_report(reg: &Registry) -> String {
+/// The `monitorscale` experiment (its report also emits the metric
+/// series the schema tests assert on).
+pub fn monitor_experiment(reg: &Registry) -> Outcome {
     let s = monitorscale_results();
     let mut out = String::new();
     let _ = writeln!(
@@ -762,7 +763,11 @@ pub fn monitor_report(reg: &Registry) -> String {
         "(per-frame dashboards: `repro monitor <sim-clean|sim-degraded|flaky>`;\n\
          timelines and Prometheus text go to BENCH_monitor.json / --out artifacts)"
     );
-    out
+    Outcome {
+        report: out,
+        bench: Some(("BENCH_monitor.json", monitor_json_from(&s))),
+        gate: Some(monitor_gate(&s)),
+    }
 }
 
 /// The `BENCH_monitor.json` payload for an already-computed summary.
@@ -814,11 +819,6 @@ pub fn monitor_json_from(s: &MonitorSummary) -> json::Value {
             ]),
         ),
     ])
-}
-
-/// The `BENCH_monitor.json` payload (fresh run).
-pub fn monitor_json() -> json::Value {
-    monitor_json_from(&monitorscale_results())
 }
 
 // ------------------------------------------------------- CLI support

@@ -15,14 +15,15 @@
 //! 3. timing-faithful replay actually paces: its wall clock is bounded
 //!    below by the capture's span divided by the speedup.
 //!
-//! `REPLAY_GATE=1 repro replay` turns those claims into a CI failure
-//! when any of them breaks. The helpers behind `repro replay <log>`
+//! `repro replay` gates on those claims and exits 1 when any of them
+//! breaks. The helpers behind `repro replay <log>`
 //! and `repro genlog` (file-driving, backend specs) also live here.
 
 use std::fmt::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::Outcome;
 use obs::Registry;
 use plfs::backend::{Backend, DirBackend, MemBackend};
 use plfs::chunk::ChunkBackend;
@@ -253,9 +254,9 @@ pub fn replay_gate(s: &ReplaySummary) -> Result<String, String> {
     ))
 }
 
-/// The `replay` experiment report (also emits the metric series the
-/// schema tests assert on).
-pub fn replay_report(reg: &Registry) -> String {
+/// The `replay` experiment (its report also emits the metric series
+/// the schema tests assert on).
+pub fn replay_experiment(reg: &Registry) -> Outcome {
     let s = replay_results();
     let mut out = String::new();
     let _ = writeln!(out, "\n== Workload capture & replay - 3-mode determinism ==");
@@ -324,7 +325,11 @@ pub fn replay_report(reg: &Registry) -> String {
          drive your own logs with `repro genlog` + `repro replay <log>`)",
         s.speedup
     );
-    out
+    Outcome {
+        report: out,
+        bench: Some(("BENCH_replay.json", replay_json_from(&s))),
+        gate: Some(replay_gate(&s)),
+    }
 }
 
 /// The `BENCH_replay.json` payload for an already-computed summary.
@@ -374,11 +379,6 @@ pub fn replay_json_from(s: &ReplaySummary) -> obs::json::Value {
         ("modes".into(), Value::Arr(modes)),
         ("pairs".into(), Value::Arr(pairs)),
     ])
-}
-
-/// The `BENCH_replay.json` payload (fresh run).
-pub fn replay_json() -> obs::json::Value {
-    replay_json_from(&replay_results())
 }
 
 // ------------------------------------------------------- CLI helpers

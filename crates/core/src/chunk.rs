@@ -39,6 +39,7 @@ use crate::checksum::crc32;
 use crate::pool;
 use obs::trace::{Phase, TraceCtx};
 use obs::{Counter, Registry};
+use simkit::rng::splitmix64;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,18 +147,11 @@ impl Default for ChunkParams {
     }
 }
 
-/// splitmix64 — seeds the gear table deterministically.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
+/// The gear table, seeded deterministically through splitmix64.
 fn gear_table(seed: u64) -> Box<[u64; 256]> {
     let mut t = Box::new([0u64; 256]);
     for (i, slot) in t.iter_mut().enumerate() {
-        *slot = mix64(seed ^ (i as u64).wrapping_mul(0x0100_0000_01b3));
+        *slot = splitmix64(&mut (seed ^ (i as u64).wrapping_mul(0x0100_0000_01b3)));
     }
     t
 }
@@ -807,7 +801,7 @@ mod tests {
         let mut v = Vec::with_capacity(n);
         let mut z = seed;
         while v.len() < n {
-            z = mix64(z);
+            z = splitmix64(&mut z);
             if z.is_multiple_of(5) {
                 let fill = (z >> 8) as u8;
                 for _ in 0..(z % 40 + 8) {
@@ -861,7 +855,7 @@ mod tests {
         let c = rle_compress(&zeros);
         assert!(c.len() < zeros.len() / 16, "runs must collapse, got {}", c.len());
         // Incompressible data must not be forced through RLE.
-        let noise: Vec<u8> = (0..1024u32).map(|i| mix64(i as u64) as u8).collect();
+        let noise: Vec<u8> = (0..1024u64).map(|i| splitmix64(&mut { i }) as u8).collect();
         let blob = encode_blob(&noise);
         assert_eq!(blob[9], CODEC_RAW);
         assert_eq!(decode_blob(&blob).unwrap(), noise);
@@ -880,6 +874,26 @@ mod tests {
     }
 
     // --------------------------------------------------------- chunker
+
+    /// The gear table fixes on-disk chunk boundaries, so the default
+    /// chunker's cut points over a seeded buffer are pinned exactly:
+    /// any change to the table's mixer re-chunks every stored file.
+    #[test]
+    fn default_chunk_boundaries_are_pinned() {
+        let p = ChunkParams::default();
+        let mut rng = simkit::Rng::new(0x5EED_C4A1);
+        let data: Vec<u8> = (0..256 * 1024).map(|_| rng.next_u64() as u8).collect();
+        let lens: Vec<usize> =
+            split(&data, &p, &gear_table(p.seed)).iter().map(|c| c.len()).collect();
+        assert_eq!(
+            lens,
+            [
+                2329, 6022, 9589, 26956, 3319, 9535, 13007, 5416, 4744, 24904, 13181, 4796, 6967,
+                7171, 4682, 2174, 20720, 5939, 7501, 10741, 13817, 26663, 7492, 4075, 6376, 4276,
+                5350, 4402
+            ]
+        );
+    }
 
     #[test]
     fn split_is_deterministic_and_bounded() {

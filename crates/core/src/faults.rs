@@ -28,6 +28,7 @@
 
 use crate::backend::Backend;
 use obs::{Counter, Registry};
+use simkit::rng::splitmix64;
 use simkit::Rng;
 use std::io;
 use std::sync::Mutex;
@@ -309,29 +310,22 @@ impl<B: Backend> FaultyBackend<B> {
     }
 }
 
-/// SplitMix64 finalizer — the per-byte rot decision must be a pure
+/// Hashes through splitmix64: the per-byte rot decision must be a pure
 /// function of `(seed, path, offset)`, independent of the shared RNG
 /// stream, so every read path observes the same corruption.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn path_hash(seed: u64, path: &str) -> u64 {
-    let mut h = mix64(seed ^ 0x5DEE_CE66_D1CE_5BBD);
+    let mut h = splitmix64(&mut (seed ^ 0x5DEE_CE66_D1CE_5BBD));
     for chunk in path.as_bytes().chunks(8) {
         let mut word = [0u8; 8];
         word[..chunk.len()].copy_from_slice(chunk);
-        h = mix64(h ^ u64::from_le_bytes(word));
+        h = splitmix64(&mut (h ^ u64::from_le_bytes(word)));
     }
     h
 }
 
 /// Is the byte at `offset` rotten, and if so which bit flips?
 fn rot_bit(path_h: u64, offset: u64, rate: f64) -> Option<u8> {
-    let r = mix64(path_h ^ offset);
+    let r = splitmix64(&mut (path_h ^ offset));
     // 53 high bits → uniform in [0, 1).
     let u = (r >> 11) as f64 / (1u64 << 53) as f64;
     (u < rate).then_some(1u8 << (r & 7))
@@ -496,6 +490,21 @@ impl<B: Backend> Backend for FaultyBackend<B> {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
+
+    /// The rot decision is a pure function of `(seed, path, offset)`
+    /// that corruption tests depend on; pin a few outputs exactly.
+    #[test]
+    fn rot_bit_and_path_hash_are_pinned() {
+        let hashes: Vec<u64> = [(1, "/ckpt/data.0"), (42, "/a"), (7, "")]
+            .iter()
+            .map(|&(s, p)| path_hash(s, p))
+            .collect();
+        let ph = path_hash(1, "/ckpt/data.0");
+        // 0 = byte not rotten, else the flipped bit's mask.
+        let bits: Vec<u8> = (0..16u64).map(|off| rot_bit(ph, off, 0.5).unwrap_or(0)).collect();
+        assert_eq!(hashes, [0xa4e2_297e_79da_03bd, 0x6693_91b3_0bdd_537c, 0x6791_e16e_812d_a43e]);
+        assert_eq!(bits, [4, 16, 4, 0, 64, 0, 8, 0, 16, 64, 16, 2, 0, 32, 0, 2]);
+    }
 
     #[test]
     fn no_faults_is_transparent() {

@@ -17,6 +17,7 @@
 use crate::backend::Backend;
 use obs::trace::{Phase, TraceCtx};
 use obs::{Counter, Registry};
+use simkit::rng::splitmix64;
 use std::fmt;
 use std::io;
 use std::time::Duration;
@@ -254,12 +255,9 @@ impl RetryPolicy {
             return exp;
         }
         // splitmix64 of (seed, attempt) → factor in [1-jitter, 1].
-        let mut z = (attempt as u64)
-            .wrapping_add(self.jitter_seed.wrapping_mul(0xd6e8_feb8_6659_fd93))
-            .wrapping_add(0x9e3779b97f4a7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        let unit = ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64;
+        let mut z =
+            (attempt as u64).wrapping_add(self.jitter_seed.wrapping_mul(0xd6e8_feb8_6659_fd93));
+        let unit = (splitmix64(&mut z) >> 11) as f64 / (1u64 << 53) as f64;
         let factor = 1.0 - self.jitter_frac * unit;
         exp.mul_f64(factor)
     }
@@ -543,6 +541,22 @@ mod tests {
     use super::*;
     use crate::backend::MemBackend;
     use crate::faults::{FaultPlan, FaultyBackend};
+
+    /// Jitter is a pure hash of `(jitter_seed, attempt)`; pin it.
+    #[test]
+    fn backoff_jitter_is_pinned() {
+        let sleeps: Vec<u128> = [0u64, 3, 1000]
+            .iter()
+            .flat_map(|&seed| {
+                let p = RetryPolicy::default().with_jitter_seed(seed);
+                (1..=3).map(move |a| p.backoff(a).as_nanos())
+            })
+            .collect();
+        assert_eq!(
+            sleeps,
+            [3583596, 7044051, 18865497, 4386854, 5699575, 19949596, 3548563, 5996977, 17873973]
+        );
+    }
 
     #[test]
     fn classify_splits_transient_from_fatal() {

@@ -5,8 +5,8 @@
 //! verified read path must produce byte-identical output.
 //!
 //! Wall-clock criteria (warm verify overhead) are only asserted in
-//! release builds — CI additionally enforces them through
-//! `INTEGRITY_GATE=1 repro integrity`.
+//! release builds — CI additionally enforces them through the gate
+//! `repro integrity` always runs.
 
 /// The ISSUE's headline numbers: 100% of injected flips detected by
 /// scrub, every sampled data flip fail-stopped by verify-on-read, zero

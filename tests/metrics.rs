@@ -31,13 +31,16 @@ fn masked_retries_equal_injected_faults_exactly() {
     assert!(injected_any, "fault plans injected nothing — the invariant was tested vacuously");
 }
 
-/// Every `repro` experiment must emit at least 20 distinct metric
-/// series (the stable schema future perf PRs assert against).
+/// Every `repro` experiment must produce a real report and emit at
+/// least 20 distinct metric series (the stable schema future perf PRs
+/// assert against).
 #[test]
 fn every_experiment_emits_at_least_20_series() {
-    for (id, _) in pdsi_bench::EXPERIMENTS {
+    for exp in pdsi_bench::EXPERIMENTS {
+        let id = exp.id;
         let reg = Registry::new();
-        pdsi_bench::run_observed(id, &reg).unwrap_or_else(|| panic!("unknown id {id}"));
+        let out = exp.run_observed(&reg);
+        assert!(out.report.len() > 100, "{id} produced a suspiciously short report");
         assert!(
             reg.series_count() >= 20,
             "{id} emitted only {} series (schema floor is 20)",

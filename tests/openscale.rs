@@ -96,7 +96,9 @@ fn warm_open_serves_from_cache_with_zero_raw_entries() {
 /// schema EXPERIMENTS.md documents.
 #[test]
 fn openscale_json_has_documented_schema() {
-    let v = pdsi_bench::openscale_json();
+    let out = pdsi_bench::experiment("openscale").unwrap().run_observed(&Registry::new());
+    let (file, v) = out.bench.expect("openscale writes a BENCH file");
+    assert_eq!(file, "BENCH_openscale.json");
     let cells = v.get("cells").and_then(|c| c.as_arr()).expect("cells array");
     assert_eq!(cells.len(), 4);
     for c in cells {
