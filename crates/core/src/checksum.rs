@@ -1,6 +1,15 @@
 //! Std-only CRC32 (IEEE 802.3, polynomial `0xEDB88320`) and the
 //! per-block checksum sidecar format used to detect silent corruption.
 //!
+//! The CRC kernel is slicing-by-16: each step folds 16 input bytes
+//! through sixteen 256-entry tables, which are built at compile time
+//! (table `k` advances table `k−1` by one zero byte), so nothing is
+//! initialised at run time. Fewer than 16 trailing bytes take the
+//! classic bytewise step on table 0. The digest is the plain IEEE CRC32,
+//! bit-for-bit what a bytewise loop computes, which every stored CRC —
+//! sidecars, index and canonical records, chunk headers, op-log digests —
+//! relies on.
+//!
 //! Droppings stay dense append-only logs — checksums live in a sidecar
 //! file per dropping (`chk.R` covering `data.R`, `chki.R` covering
 //! `index.R`): a fixed header followed by one little-endian CRC32 per
@@ -30,8 +39,11 @@ pub const CHK_HEADER_BYTES: usize = 13;
 const CHK_MAGIC: &[u8; 8] = b"PLFSCHK1";
 const CHK_VERSION: u8 = 1;
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The slicing-by-16 tables: table 0 is the bytewise table, and
+/// `[k][b]` is the CRC contribution of byte `b` followed by `k` zero
+/// bytes.
+const fn build_table() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -40,13 +52,23 @@ const fn build_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = build_table();
+static CRC_TABLES: [[u32; 256]; 16] = build_table();
 
 /// One-shot CRC32 of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -69,9 +91,20 @@ impl Crc32 {
     }
 
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
         let mut c = self.state;
-        for &b in bytes {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let (blocks, tail) = bytes.as_chunks::<16>();
+        for block in blocks {
+            // The state folds into the first four bytes; byte `j` then
+            // sits `15 - j` bytes before the end of the block.
+            let mut lane = *block;
+            for (b, s) in lane.iter_mut().zip(c.to_le_bytes()) {
+                *b ^= s;
+            }
+            c = lane.iter().enumerate().fold(0, |x, (j, &b)| x ^ t[15 - j][b as usize]);
+        }
+        for &b in tail {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.state = c;
     }
@@ -175,21 +208,52 @@ impl ChkBuilder {
 mod tests {
     use super::*;
 
+    /// The bytewise single-table loop: the reference the sliced kernel
+    /// must match bit for bit.
+    fn reference_crc32(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    fn seeded_bytes(len: usize) -> Vec<u8> {
+        let mut z = 0x5EED_C0DE;
+        (0..len).map(|_| simkit::rng::splitmix64(&mut z) as u8).collect()
+    }
+
     #[test]
     fn crc32_matches_ieee_check_value() {
         // The canonical CRC-32/ISO-HDLC check vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // Long enough to take the 16-byte lanes.
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+    }
+
+    #[test]
+    fn sliced_kernel_matches_bytewise_reference() {
+        let data = seeded_bytes(16 + 300);
+        for start in 0..16 {
+            for len in 0..=300 {
+                let piece = &data[start..start + len];
+                assert_eq!(crc32(piece), reference_crc32(piece), "start {start}, len {len}");
+            }
+        }
     }
 
     #[test]
     fn incremental_equals_one_shot() {
-        let data = b"the quick brown fox jumps over the lazy dog";
-        let mut h = Crc32::new();
-        for chunk in data.chunks(7) {
-            h.update(chunk);
+        let data = seeded_bytes(300);
+        let whole = crc32(&data);
+        for split in 0..=data.len() {
+            let mut h = Crc32::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(h.finish(), whole, "split at {split}");
         }
-        assert_eq!(h.finish(), crc32(data));
     }
 
     #[test]

@@ -460,7 +460,10 @@ mod tests {
         }
         let mut got: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         got.sort_unstable();
-        assert_eq!(got, (0..16).collect::<Vec<u64>>());
+        got.dedup();
+        // A reserver that loses to a higher marker jumps above the
+        // ceiling, so the epochs may leave gaps; they never repeat.
+        assert_eq!(got.len(), 16, "16 reservations, pairwise distinct: {got:?}");
     }
 
     #[test]
