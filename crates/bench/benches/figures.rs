@@ -178,13 +178,7 @@ fn main() {
         )) as Arc<dyn Backend>;
         let fs = plfs::Plfs::new(
             be,
-            plfs::PlfsConfig {
-                writer: plfs::WriterConfig {
-                    retry: RetryPolicy::fast_test(),
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
+            plfs::PlfsConfig { retry: RetryPolicy::fast_test(), ..Default::default() },
         );
         let mut w = fs.open_writer("/f", 0).unwrap();
         let buf = vec![7u8; 4096];

@@ -907,7 +907,6 @@ pub fn faults_masking_run(transient: f64, torn: f64) -> (plfs::FaultStats, u64, 
     let fs = plfs::Plfs::new(
         faulty.clone() as Arc<dyn Backend>,
         plfs::PlfsConfig {
-            writer: plfs::WriterConfig { retry: RetryPolicy::fast_test(), ..Default::default() },
             retry: RetryPolicy::fast_test(),
             metrics: row_reg.clone(),
             ..Default::default()

@@ -59,40 +59,13 @@ impl PacedBackend {
     }
 }
 
-impl Backend for PacedBackend {
-    fn mkdir_all(&self, path: &str) -> io::Result<()> {
-        self.inner.mkdir_all(path)
-    }
-    fn create(&self, path: &str) -> io::Result<()> {
-        self.inner.create(path)
-    }
-    fn create_new(&self, path: &str) -> io::Result<()> {
-        self.inner.create_new(path)
+impl plfs::backend::Layer for PacedBackend {
+    fn below(&self) -> &dyn Backend {
+        &self.inner
     }
     fn append(&self, path: &str, data: &[u8]) -> io::Result<u64> {
         self.pace(data.len());
         self.inner.append(path, data)
-    }
-    fn read_at(&self, path: &str, off: u64, buf: &mut [u8]) -> io::Result<usize> {
-        self.inner.read_at(path, off, buf)
-    }
-    fn len(&self, path: &str) -> io::Result<u64> {
-        self.inner.len(path)
-    }
-    fn list(&self, dir: &str) -> io::Result<Vec<String>> {
-        self.inner.list(dir)
-    }
-    fn exists(&self, path: &str) -> bool {
-        self.inner.exists(path)
-    }
-    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-        self.inner.rename(from, to)
-    }
-    fn remove(&self, path: &str) -> io::Result<()> {
-        self.inner.remove(path)
-    }
-    fn remove_dir_all(&self, path: &str) -> io::Result<()> {
-        self.inner.remove_dir_all(path)
     }
 }
 

@@ -458,7 +458,6 @@ fn flaky_run() -> FlakyMonitorCell {
         retry: RetryPolicy::fast_test(),
         ..Default::default()
     };
-    cfg.writer.retry = RetryPolicy::fast_test();
     cfg.writer.data_buffer = 0; // one backend append per write
 
     let fs = Plfs::new(faulty.clone() as Arc<dyn Backend>, cfg);

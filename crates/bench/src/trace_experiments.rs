@@ -146,7 +146,6 @@ fn trace_plfs_io() -> TraceRun {
         retry: RetryPolicy::fast_test(),
         ..PlfsConfig::default()
     };
-    cfg.writer.retry = RetryPolicy::fast_test();
     // One append per write so every write_at exercises the store.
     cfg.writer.data_buffer = 0;
 

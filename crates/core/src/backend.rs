@@ -12,6 +12,16 @@
 //! *appends*, *reads*, and *lists* — the whole point of the log-structured
 //! container is that the backing store never sees an overwrite or a
 //! concurrent shared-file write.
+//!
+//! A decorator over another store (faults, retry, chunking, pacing)
+//! implements [`Layer`]: it names the store [`below`](Layer::below) it
+//! and overrides only what it changes. A blanket impl makes it a
+//! [`Backend`] that forwards the rest, each fallible call through the
+//! one around-hook [`Layer::call`] (a fault gate, a retry loop), so
+//! `create_new` and `rename` stay the atomic calls of the store below.
+//! `read_all` is never forwarded: it loops over the layer's own
+//! `len`/`read_at`, so what a layer does to reads (bit flips, short-read
+//! caps, chunk manifests) applies to whole-file reads too.
 
 use std::collections::HashMap;
 use std::fs;
@@ -30,19 +40,9 @@ pub trait Backend: Send + Sync {
     /// Create an empty file *only if it does not already exist*;
     /// `Err(AlreadyExists)` if it does. This is the one compare-and-swap
     /// primitive PLFS asks of the store: concurrent openers race their
-    /// session reservations through it, so real implementations should
-    /// override the default with something genuinely atomic (`O_EXCL`
-    /// on a POSIX store). The default is a non-atomic exists-then-create
-    /// fallback, acceptable only for backends without racing clients.
-    fn create_new(&self, path: &str) -> io::Result<()> {
-        if self.exists(path) {
-            return Err(io::Error::new(
-                io::ErrorKind::AlreadyExists,
-                format!("path already exists: {path}"),
-            ));
-        }
-        self.create(path)
-    }
+    /// session reservations through it, so it must be genuinely atomic
+    /// (`O_EXCL` on a POSIX store).
+    fn create_new(&self, path: &str) -> io::Result<()>;
 
     /// Append `data` to `path` (creating it if missing); returns the
     /// offset at which the data landed.
@@ -79,19 +79,8 @@ pub trait Backend: Send + Sync {
     /// `to`. This is the commit primitive crash-safe rewrites build on
     /// (write to a temp path, then rename over the original): after a
     /// crash the destination holds either its old contents or the new
-    /// ones, never a torn mix.
-    ///
-    /// The default is a **non-atomic** copy-then-remove fallback for
-    /// backends that predate this method; real stores should override
-    /// it with a genuinely atomic rename (`rename(2)` on POSIX).
-    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-        let data = self.read_all(from)?;
-        self.create(to)?;
-        if !data.is_empty() {
-            self.append(to, &data)?;
-        }
-        self.remove(from)
-    }
+    /// ones, never a torn mix (`rename(2)` on POSIX).
+    fn rename(&self, from: &str, to: &str) -> io::Result<()>;
 
     /// Remove a file.
     fn remove(&self, path: &str) -> io::Result<()>;
@@ -113,6 +102,79 @@ pub trait Backend: Send + Sync {
         }
         buf.truncate(filled);
         Ok(buf)
+    }
+}
+
+/// The base of a decorating [`Backend`] (see the module docs).
+pub trait Layer: Send + Sync {
+    /// The store this layer decorates.
+    fn below(&self) -> &dyn Backend;
+
+    /// Runs every forwarded call but `exists` on the store below.
+    fn call<T>(&self, mut op: impl FnMut(&dyn Backend) -> io::Result<T>) -> io::Result<T> {
+        op(self.below())
+    }
+
+    fn append(&self, path: &str, data: &[u8]) -> io::Result<u64> {
+        self.call(|b| b.append(path, data))
+    }
+
+    fn read_at(&self, path: &str, off: u64, buf: &mut [u8]) -> io::Result<usize> {
+        self.call(|b| b.read_at(path, off, buf))
+    }
+
+    fn len(&self, path: &str) -> io::Result<u64> {
+        self.call(|b| b.len(path))
+    }
+
+    fn create_new(&self, path: &str) -> io::Result<()> {
+        self.call(|b| b.create_new(path))
+    }
+}
+
+impl<L: Layer> Backend for L {
+    fn mkdir_all(&self, path: &str) -> io::Result<()> {
+        self.call(|b| b.mkdir_all(path))
+    }
+
+    fn create(&self, path: &str) -> io::Result<()> {
+        self.call(|b| b.create(path))
+    }
+
+    fn create_new(&self, path: &str) -> io::Result<()> {
+        Layer::create_new(self, path)
+    }
+
+    fn append(&self, path: &str, data: &[u8]) -> io::Result<u64> {
+        Layer::append(self, path, data)
+    }
+
+    fn read_at(&self, path: &str, off: u64, buf: &mut [u8]) -> io::Result<usize> {
+        Layer::read_at(self, path, off, buf)
+    }
+
+    fn len(&self, path: &str) -> io::Result<u64> {
+        Layer::len(self, path)
+    }
+
+    fn list(&self, dir: &str) -> io::Result<Vec<String>> {
+        self.call(|b| b.list(dir))
+    }
+
+    fn exists(&self, path: &str) -> bool {
+        self.below().exists(path)
+    }
+
+    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
+        self.call(|b| b.rename(from, to))
+    }
+
+    fn remove(&self, path: &str) -> io::Result<()> {
+        self.call(|b| b.remove(path))
+    }
+
+    fn remove_dir_all(&self, path: &str) -> io::Result<()> {
+        self.call(|b| b.remove_dir_all(path))
     }
 }
 
@@ -366,6 +428,10 @@ impl Backend for DirBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::ChunkBackend;
+    use crate::faults::{FaultPlan, FaultyBackend};
+    use crate::retry::{RetriedBackend, RetryPolicy};
+    use std::sync::Arc;
 
     fn exercise(b: &dyn Backend) {
         b.mkdir_all("/cp/hostdir.0").unwrap();
@@ -466,6 +532,96 @@ mod tests {
         let b = DirBackend::new(&dir).unwrap();
         exercise(&b);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn layers_keep_the_backend_contract() {
+        let faulty = FaultyBackend::new(MemBackend::new(), FaultPlan::none(1));
+        let mem = MemBackend::new();
+        let policy = RetryPolicy::none();
+        let retried = RetriedBackend::new(&mem, &policy);
+        let chunked = ChunkBackend::new(Arc::new(MemBackend::new()));
+        for layer in [&faulty as &dyn Backend, &retried, &chunked] {
+            exercise(layer);
+            exercise_read_at_eof(layer);
+        }
+    }
+
+    /// A store that logs the name of every call it receives.
+    #[derive(Default)]
+    struct Recording {
+        mem: MemBackend,
+        calls: Mutex<Vec<&'static str>>,
+    }
+
+    impl Recording {
+        fn log<T>(&self, name: &'static str, op: impl FnOnce(&MemBackend) -> T) -> T {
+            self.calls.lock().unwrap().push(name);
+            op(&self.mem)
+        }
+
+        fn take(&self) -> Vec<&'static str> {
+            std::mem::take(&mut self.calls.lock().unwrap())
+        }
+    }
+
+    impl Backend for Recording {
+        fn mkdir_all(&self, path: &str) -> io::Result<()> {
+            self.log("mkdir_all", |m| m.mkdir_all(path))
+        }
+        fn create(&self, path: &str) -> io::Result<()> {
+            self.log("create", |m| m.create(path))
+        }
+        fn create_new(&self, path: &str) -> io::Result<()> {
+            self.log("create_new", |m| m.create_new(path))
+        }
+        fn append(&self, path: &str, data: &[u8]) -> io::Result<u64> {
+            self.log("append", |m| m.append(path, data))
+        }
+        fn read_at(&self, path: &str, off: u64, buf: &mut [u8]) -> io::Result<usize> {
+            self.log("read_at", |m| m.read_at(path, off, buf))
+        }
+        fn len(&self, path: &str) -> io::Result<u64> {
+            self.log("len", |m| m.len(path))
+        }
+        fn list(&self, dir: &str) -> io::Result<Vec<String>> {
+            self.log("list", |m| m.list(dir))
+        }
+        fn exists(&self, path: &str) -> bool {
+            self.log("exists", |m| m.exists(path))
+        }
+        fn rename(&self, from: &str, to: &str) -> io::Result<()> {
+            self.log("rename", |m| m.rename(from, to))
+        }
+        fn remove(&self, path: &str) -> io::Result<()> {
+            self.log("remove", |m| m.remove(path))
+        }
+        fn remove_dir_all(&self, path: &str) -> io::Result<()> {
+            self.log("remove_dir_all", |m| m.remove_dir_all(path))
+        }
+    }
+
+    /// A layer passes each atomic primitive down as that one call, never
+    /// as exists + create or read + create + append + remove.
+    fn assert_atomic_calls_pass_through(layer: &dyn Backend, below: &Recording) {
+        layer.mkdir_all("/d").unwrap();
+        layer.append("/d/src", b"payload").unwrap();
+        below.take();
+        layer.create_new("/d/marker").unwrap();
+        assert_eq!(below.take(), ["create_new"]);
+        layer.rename("/d/src", "/d/dst").unwrap();
+        assert_eq!(below.take(), ["rename"]);
+    }
+
+    #[test]
+    fn layers_pass_create_new_and_rename_through() {
+        let faulty = FaultyBackend::new(Recording::default(), FaultPlan::none(1));
+        assert_atomic_calls_pass_through(&faulty, faulty.inner());
+        let rec = Recording::default();
+        let policy = RetryPolicy::none();
+        assert_atomic_calls_pass_through(&RetriedBackend::new(&rec, &policy), &rec);
+        let rec = Arc::new(Recording::default());
+        assert_atomic_calls_pass_through(&ChunkBackend::new(rec.clone()), &rec);
     }
 
     #[test]

@@ -435,6 +435,12 @@ pub struct ChunkScrubReport {
 /// become manifests of `(len, digest)` records and the bytes live in a
 /// shared dedup pool. See the module docs for the design; see
 /// [`ChunkBackend::gc`]/[`ChunkBackend::scrub_pool`] for maintenance.
+///
+/// Only `append`, `read_at` and `len` translate between bytes and
+/// manifests; every other call goes to the manifest in the inner store
+/// unchanged. Truncating (`create`), renaming or removing a manifest
+/// leaves the chunks it referenced in the pool, where other manifests
+/// may share them, until the next gc.
 pub struct ChunkBackend {
     inner: Arc<dyn Backend>,
     params: ChunkParams,
@@ -670,19 +676,9 @@ impl ChunkBackend {
     }
 }
 
-impl Backend for ChunkBackend {
-    fn mkdir_all(&self, path: &str) -> io::Result<()> {
-        self.inner.mkdir_all(path)
-    }
-
-    fn create(&self, path: &str) -> io::Result<()> {
-        // Truncating a file orphans its chunks; they stay in the pool
-        // (other manifests may reference them) until the next gc.
-        self.inner.create(path)
-    }
-
-    fn create_new(&self, path: &str) -> io::Result<()> {
-        self.inner.create_new(path)
+impl crate::backend::Layer for ChunkBackend {
+    fn below(&self) -> &dyn Backend {
+        self.inner.as_ref()
     }
 
     fn append(&self, path: &str, data: &[u8]) -> io::Result<u64> {
@@ -755,30 +751,6 @@ impl Backend for ChunkBackend {
 
     fn len(&self, path: &str) -> io::Result<u64> {
         Ok(self.manifest_records(path)?.iter().map(|&(l, _)| l as u64).sum())
-    }
-
-    fn list(&self, dir: &str) -> io::Result<Vec<String>> {
-        self.inner.list(dir)
-    }
-
-    fn exists(&self, path: &str) -> bool {
-        self.inner.exists(path)
-    }
-
-    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-        // Manifests are ordinary files in the inner store; the digests
-        // they reference don't move.
-        self.inner.rename(from, to)
-    }
-
-    fn remove(&self, path: &str) -> io::Result<()> {
-        // Chunks outlive the manifest until the next gc (they may be
-        // shared with other files).
-        self.inner.remove(path)
-    }
-
-    fn remove_dir_all(&self, path: &str) -> io::Result<()> {
-        self.inner.remove_dir_all(path)
     }
 }
 

@@ -195,6 +195,14 @@ impl FaultState {
 /// serialize on an internal mutex for the *decision*, so a
 /// multi-threaded workload still gets a well-defined (if
 /// schedule-dependent) fault stream.
+///
+/// Every call but `append` and `read_at` is gated the same way: it
+/// fails while crash-stopped, else may fail transiently, else reaches
+/// the store untouched. Metadata calls such as `rename` are atomic on
+/// the stores modeled here, so a crash can reject them but never tear
+/// them, and they do not advance the crash budget. `exists` is
+/// infallible in the trait: a crashed store answers from its frozen
+/// state.
 pub struct FaultyBackend<B: Backend> {
     inner: B,
     state: Mutex<FaultState>,
@@ -340,20 +348,14 @@ fn transient_error(rng: &mut Rng) -> io::Error {
     io::Error::new(kind, "injected transient fault")
 }
 
-impl<B: Backend> Backend for FaultyBackend<B> {
-    fn mkdir_all(&self, path: &str) -> io::Result<()> {
-        self.gate()?;
-        self.inner.mkdir_all(path)
+impl<B: Backend> crate::backend::Layer for FaultyBackend<B> {
+    fn below(&self) -> &dyn Backend {
+        &self.inner
     }
 
-    fn create(&self, path: &str) -> io::Result<()> {
+    fn call<T>(&self, mut op: impl FnMut(&dyn Backend) -> io::Result<T>) -> io::Result<T> {
         self.gate()?;
-        self.inner.create(path)
-    }
-
-    fn create_new(&self, path: &str) -> io::Result<()> {
-        self.gate()?;
-        self.inner.create_new(path)
+        op(&self.inner)
     }
 
     fn append(&self, path: &str, data: &[u8]) -> io::Result<u64> {
@@ -449,40 +451,6 @@ impl<B: Backend> Backend for FaultyBackend<B> {
             }
         }
         Ok(got)
-    }
-
-    fn len(&self, path: &str) -> io::Result<u64> {
-        self.gate()?;
-        self.inner.len(path)
-    }
-
-    fn list(&self, dir: &str) -> io::Result<Vec<String>> {
-        self.gate()?;
-        self.inner.list(dir)
-    }
-
-    fn exists(&self, path: &str) -> bool {
-        // Infallible in the trait; a crashed store answers from its
-        // frozen state.
-        self.inner.exists(path)
-    }
-
-    // Rename is a metadata operation — atomic on the stores we model,
-    // so a crash can reject it but never tear it. No bytes are
-    // appended, so it does not advance the crash budget.
-    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-        self.gate()?;
-        self.inner.rename(from, to)
-    }
-
-    fn remove(&self, path: &str) -> io::Result<()> {
-        self.gate()?;
-        self.inner.remove(path)
-    }
-
-    fn remove_dir_all(&self, path: &str) -> io::Result<()> {
-        self.gate()?;
-        self.inner.remove_dir_all(path)
     }
 }
 

@@ -30,8 +30,8 @@ pub struct PlfsConfig {
     /// Subdirectories to spread droppings over within each container.
     pub hostdirs: u32,
     pub writer: WriterConfig,
-    /// Retry policy for metadata and read-side backend operations
-    /// (the write path uses `writer.retry`).
+    /// Retry policy for every backend operation: metadata, reads and
+    /// the write path (each writer jitters its backoff by session).
     pub retry: RetryPolicy,
     /// Registry this instance records into. Cloning a `Registry` shares
     /// it, so pass an experiment-wide registry to collect `plfs.*` and
@@ -98,10 +98,9 @@ pub struct Plfs {
 
 impl Plfs {
     pub fn new(backend: Arc<dyn Backend>, mut cfg: PlfsConfig) -> Self {
-        // Bind both retry policies to the instance registry so masked /
+        // Bind the retry policy to the instance registry so masked /
         // surfaced / backoff counts land next to the plfs.* series.
         cfg.retry = cfg.retry.bound_to(&cfg.metrics);
-        cfg.writer.retry = cfg.writer.retry.bound_to(&cfg.metrics);
         // Index timestamps are sequence numbers by default, so the
         // shared clock is logical; it starts at 1 so stamp 0 stays
         // "never written". A wall clock (monotone too) may be swapped in
@@ -203,10 +202,16 @@ impl Plfs {
         // Decorrelate this writer's retry backoff from its siblings: a
         // swarm stalled on the same group commit must not re-hit the
         // backend in lockstep.
-        let mut wcfg = self.cfg.writer.clone();
-        wcfg.retry = wcfg.retry.with_jitter_seed(session + 1);
-        let res =
-            Writer::new(self.backend.clone(), paths, wcfg, rank, self.metrics.clone(), session);
+        let retry = self.cfg.retry.clone().with_jitter_seed(session + 1);
+        let res = Writer::new(
+            self.backend.clone(),
+            paths,
+            self.cfg.writer.clone(),
+            retry,
+            rank,
+            self.metrics.clone(),
+            session,
+        );
         match &res {
             Ok(_) => self.record(logical, rank, OpKind::OpenWriter, 0, 0, OpResult::Ok),
             Err(e) => self.record(logical, rank, OpKind::OpenWriter, 0, 0, err_token(e)),

@@ -985,6 +985,7 @@ mod tests {
             b.clone() as Arc<dyn Backend>,
             p.clone(),
             WriterConfig::default(),
+            RetryPolicy::default(),
             rank,
             metrics.clone(),
             0,
@@ -1240,6 +1241,7 @@ mod tests {
             b.clone() as Arc<dyn Backend>,
             p.clone(),
             WriterConfig::default(),
+            RetryPolicy::default(),
             0,
             m.clone(),
             1,
@@ -1275,34 +1277,13 @@ mod tests {
     /// advanced offset instead.
     struct ShortReadBackend(Arc<MemBackend>);
 
-    impl Backend for ShortReadBackend {
-        fn mkdir_all(&self, path: &str) -> io::Result<()> {
-            self.0.mkdir_all(path)
-        }
-        fn create(&self, path: &str) -> io::Result<()> {
-            self.0.create(path)
-        }
-        fn append(&self, path: &str, data: &[u8]) -> io::Result<u64> {
-            self.0.append(path, data)
+    impl crate::backend::Layer for ShortReadBackend {
+        fn below(&self) -> &dyn Backend {
+            self.0.as_ref()
         }
         fn read_at(&self, path: &str, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
             let n = buf.len().min(1);
             self.0.read_at(path, offset, &mut buf[..n])
-        }
-        fn len(&self, path: &str) -> io::Result<u64> {
-            self.0.len(path)
-        }
-        fn list(&self, dir: &str) -> io::Result<Vec<String>> {
-            self.0.list(dir)
-        }
-        fn exists(&self, path: &str) -> bool {
-            self.0.exists(path)
-        }
-        fn remove(&self, path: &str) -> io::Result<()> {
-            self.0.remove(path)
-        }
-        fn remove_dir_all(&self, path: &str) -> io::Result<()> {
-            self.0.remove_dir_all(path)
         }
     }
 
@@ -1635,6 +1616,7 @@ mod tests {
             b.clone() as Arc<dyn Backend>,
             p.clone(),
             WriterConfig { checksum: false, ..Default::default() },
+            RetryPolicy::default(),
             0,
             m.clone(),
             0,

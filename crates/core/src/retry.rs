@@ -310,13 +310,13 @@ impl<'a> RetriedBackend<'a> {
     }
 }
 
-impl Backend for RetriedBackend<'_> {
-    fn mkdir_all(&self, path: &str) -> io::Result<()> {
-        self.policy.run(|| self.inner.mkdir_all(path))
+impl crate::backend::Layer for RetriedBackend<'_> {
+    fn below(&self) -> &dyn Backend {
+        self.inner
     }
 
-    fn create(&self, path: &str) -> io::Result<()> {
-        self.policy.run(|| self.inner.create(path))
+    fn call<T>(&self, mut op: impl FnMut(&dyn Backend) -> io::Result<T>) -> io::Result<T> {
+        self.policy.run(|| op(self.inner))
     }
 
     fn create_new(&self, path: &str) -> io::Result<()> {
@@ -338,34 +338,6 @@ impl Backend for RetriedBackend<'_> {
         // Single-shot: see type-level docs.
         self.policy.obs.attempts.inc();
         self.inner.append(path, data).inspect_err(|_| self.policy.obs.surfaced.inc())
-    }
-
-    fn read_at(&self, path: &str, off: u64, buf: &mut [u8]) -> io::Result<usize> {
-        self.policy.run(|| self.inner.read_at(path, off, buf))
-    }
-
-    fn len(&self, path: &str) -> io::Result<u64> {
-        self.policy.run(|| self.inner.len(path))
-    }
-
-    fn list(&self, dir: &str) -> io::Result<Vec<String>> {
-        self.policy.run(|| self.inner.list(dir))
-    }
-
-    fn exists(&self, path: &str) -> bool {
-        self.inner.exists(path)
-    }
-
-    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-        self.policy.run(|| self.inner.rename(from, to))
-    }
-
-    fn remove(&self, path: &str) -> io::Result<()> {
-        self.policy.run(|| self.inner.remove(path))
-    }
-
-    fn remove_dir_all(&self, path: &str) -> io::Result<()> {
-        self.policy.run(|| self.inner.remove_dir_all(path))
     }
 }
 

@@ -638,7 +638,6 @@ mod tests {
         let faulty = Arc::new(FaultyBackend::new(MemBackend::new(), FaultPlan::none(7)));
         let mut cfg = PlfsConfig { hostdirs: 4, metrics: reg.clone(), ..Default::default() };
         cfg.retry = RetryPolicy::none();
-        cfg.writer.retry = RetryPolicy::none();
         let fs = Plfs::new(faulty.clone() as Arc<dyn Backend>, cfg);
         let svc =
             IngestService::start(&fs, "/crash", ServiceConfig { shards: 1, ..Default::default() })

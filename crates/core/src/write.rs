@@ -34,8 +34,6 @@ pub struct WriterConfig {
     /// Flush the in-memory index every N entries (it always flushes on
     /// sync/close).
     pub index_flush_every: usize,
-    /// How hard to mask transient backend errors (see [`crate::retry`]).
-    pub retry: RetryPolicy,
     /// Maintain per-block checksum sidecars (`chk.R` / `chki.R`, see
     /// [`crate::checksum`]) alongside the droppings. Off produces a
     /// legacy container: readable everywhere, reported as "uncovered"
@@ -49,7 +47,6 @@ impl Default for WriterConfig {
             data_buffer: 1 << 20,
             compress_index: true,
             index_flush_every: 4096,
-            retry: RetryPolicy::default(),
             checksum: true,
         }
     }
@@ -109,6 +106,8 @@ pub struct Writer {
     backend: Arc<dyn Backend>,
     paths: ContainerPaths,
     cfg: WriterConfig,
+    /// How hard to mask transient backend errors (see [`crate::retry`]).
+    retry: RetryPolicy,
     rank: u32,
     /// Shared instrumentation + monotone stamp source (one per `Plfs`
     /// instance).
@@ -145,6 +144,7 @@ impl Writer {
         backend: Arc<dyn Backend>,
         paths: ContainerPaths,
         cfg: WriterConfig,
+        retry: RetryPolicy,
         rank: u32,
         metrics: Arc<PlfsMetrics>,
         session: u64,
@@ -158,18 +158,18 @@ impl Writer {
         // an exists/remove pair reintroduces the window); a concurrent
         // delete racing us is fine (NotFound == done).
         let canonical = paths.canonical_index();
-        cfg.retry.run(|| match backend.remove(&canonical) {
+        retry.run(|| match backend.remove(&canonical) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
             r => r,
         })?;
         let open_dropping = paths.open_dropping(rank, session);
-        cfg.retry.run(|| backend.create(&open_dropping))?;
+        retry.run(|| backend.create(&open_dropping))?;
         // Appending to an existing dropping resumes at its tail. The
         // length queries are retried: silently treating a transient
         // failure as "empty" would restart the cursor at 0 and corrupt
         // the log.
-        let cursor = len_or_zero(backend.as_ref(), &cfg.retry, &paths.data_dropping(rank))?;
-        let index_cursor = len_or_zero(backend.as_ref(), &cfg.retry, &paths.index_dropping(rank))?;
+        let cursor = len_or_zero(backend.as_ref(), &retry, &paths.data_dropping(rank))?;
+        let index_cursor = len_or_zero(backend.as_ref(), &retry, &paths.index_dropping(rank))?;
         // A previous session's sidecars go stale the moment this session
         // appends to the covered files (their close-time tail CRC no
         // longer matches the grown tail block), so remove them *before*
@@ -178,7 +178,7 @@ impl Writer {
         // uncovered dropping than a wrongly-covered one.
         for stale in [paths.chk_dropping(rank), paths.index_chk_dropping(rank)] {
             if backend.exists(&stale) {
-                cfg.retry.run(|| match backend.remove(&stale) {
+                retry.run(|| match backend.remove(&stale) {
                     Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
                     r => r,
                 })?;
@@ -195,7 +195,7 @@ impl Writer {
                     let mut builder = ChkBuilder::new(VERIFY_BLOCK);
                     let mut pending = chk_header(VERIFY_BLOCK as u32);
                     if covered > 0 {
-                        let existing = cfg.retry.run(|| backend.read_all(&covered_path))?;
+                        let existing = retry.run(|| backend.read_all(&covered_path))?;
                         builder.absorb(&existing);
                         pending.extend_from_slice(&builder.take_pending());
                     }
@@ -212,6 +212,7 @@ impl Writer {
             backend,
             paths,
             cfg,
+            retry,
             rank,
             metrics,
             cursor,
@@ -348,7 +349,7 @@ impl Writer {
         let span = self.metrics.trace.start("plfs.data_append", Phase::Transfer, &track, parent);
         let res = append_at_reliable_traced(
             self.backend.as_ref(),
-            &self.cfg.retry,
+            &self.retry,
             &path,
             base,
             data,
@@ -427,7 +428,7 @@ impl Writer {
         let span = self.metrics.trace.start("plfs.index_append", Phase::Transfer, &track, parent);
         let res = append_at_reliable_traced(
             self.backend.as_ref(),
-            &self.cfg.retry,
+            &self.retry,
             &path,
             self.index_cursor,
             encoded,
@@ -462,7 +463,7 @@ impl Writer {
             self.metrics.trace.start("plfs.chk_append", Phase::Transfer, &self.track(), parent);
         let mut res = Ok(());
         for sc in [&mut self.chk, &mut self.chki].into_iter().flatten() {
-            let r = flush_sidecar(self.backend.as_ref(), &self.cfg.retry, sc);
+            let r = flush_sidecar(self.backend.as_ref(), &self.retry, sc);
             if res.is_ok() {
                 res = r;
             }
@@ -479,7 +480,7 @@ impl Writer {
                 let entry = crc.to_le_bytes();
                 append_at_reliable(
                     self.backend.as_ref(),
-                    &self.cfg.retry,
+                    &self.retry,
                     &sc.path,
                     sc.cursor,
                     &entry,
@@ -520,8 +521,8 @@ impl Writer {
             let max_ts = self.metrics.clock.current();
             let meta =
                 self.paths.meta_dropping(self.rank, self.max_logical, self.stats.bytes, max_ts);
-            self.cfg.retry.run(|| self.backend.create(&meta))?;
-            let _ = self.cfg.retry.run(|| self.backend.remove(&self.open_dropping));
+            self.retry.run(|| self.backend.create(&meta))?;
+            let _ = self.retry.run(|| self.backend.remove(&self.open_dropping));
             self.closed = true;
             Ok(())
         })();
@@ -566,8 +567,8 @@ mod tests {
         rank: u32,
         cfg: WriterConfig,
     ) -> Writer {
-        Writer::new(b.clone() as Arc<dyn Backend>, p.clone(), cfg, rank, metrics.clone(), 0)
-            .unwrap()
+        let b = b.clone() as Arc<dyn Backend>;
+        Writer::new(b, p.clone(), cfg, RetryPolicy::default(), rank, metrics.clone(), 0).unwrap()
     }
 
     #[test]

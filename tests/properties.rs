@@ -198,12 +198,8 @@ fn crash_workload(crash_after: u64, seed: u64) -> (Arc<FaultyBackend<MemBackend>
         faulty.clone() as Arc<dyn Backend>,
         PlfsConfig {
             hostdirs: 2,
-            writer: WriterConfig {
-                data_buffer: 128,
-                index_flush_every: 4,
-                retry: RetryPolicy::none(),
-                ..Default::default()
-            },
+            writer: WriterConfig { data_buffer: 128, index_flush_every: 4, ..Default::default() },
+            retry: RetryPolicy::none(),
             ..Default::default()
         },
     );
@@ -356,12 +352,8 @@ fn strided_crash_workload(
         faulty.clone() as Arc<dyn Backend>,
         PlfsConfig {
             hostdirs: 2,
-            writer: WriterConfig {
-                data_buffer: 64,
-                index_flush_every: 3,
-                retry: RetryPolicy::none(),
-                ..Default::default()
-            },
+            writer: WriterConfig { data_buffer: 64, index_flush_every: 3, ..Default::default() },
+            retry: RetryPolicy::none(),
             ..Default::default()
         },
     );
@@ -456,17 +448,12 @@ fn service_crash_workload(
         MemBackend::new(),
         FaultPlan { crash_after_bytes: Some(crash_after), ..FaultPlan::none(seed) },
     ));
-    let mut cfg = PlfsConfig {
+    let cfg = PlfsConfig {
         hostdirs: 2,
-        writer: WriterConfig {
-            data_buffer: 128,
-            index_flush_every: 4,
-            retry: RetryPolicy::none(),
-            ..Default::default()
-        },
+        writer: WriterConfig { data_buffer: 128, index_flush_every: 4, ..Default::default() },
+        retry: RetryPolicy::none(),
         ..Default::default()
     };
-    cfg.retry = RetryPolicy::none();
     let fs = Plfs::new(faulty.clone() as Arc<dyn Backend>, cfg);
     let mut model = AckedModel { bytes: vec![None; (CLIENTS as u64 * ROUNDS * REC) as usize] };
     let svc = match IngestService::start(
@@ -554,11 +541,7 @@ fn retry_masks_transient_faults() {
             faulty.clone() as Arc<dyn Backend>,
             PlfsConfig {
                 hostdirs: 2,
-                writer: WriterConfig {
-                    data_buffer: 256,
-                    retry: RetryPolicy::fast_test(),
-                    ..Default::default()
-                },
+                writer: WriterConfig { data_buffer: 256, ..Default::default() },
                 retry: RetryPolicy::fast_test(),
                 ..Default::default()
             },
@@ -602,12 +585,7 @@ fn read_engine_matches_serial_oracle_and_byte_map() {
         ));
         let fs = Plfs::new(
             faulty.clone() as Arc<dyn Backend>,
-            PlfsConfig {
-                hostdirs: 2,
-                writer: WriterConfig { retry: RetryPolicy::fast_test(), ..Default::default() },
-                retry: RetryPolicy::fast_test(),
-                ..Default::default()
-            },
+            PlfsConfig { hostdirs: 2, retry: RetryPolicy::fast_test(), ..Default::default() },
         );
         // All writers share one Plfs (one clock), so issue order is
         // timestamp order and a replay-in-order byte map is the truth.

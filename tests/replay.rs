@@ -147,8 +147,7 @@ fn differential_faulty_store_matches_clean_run() {
             ..FaultPlan::none(91)
         };
         let faulty_store = Arc::new(FaultyBackend::new(MemBackend::new(), plan));
-        let mut fcfg = PlfsConfig { retry: RetryPolicy::fast_test(), ..Default::default() };
-        fcfg.writer.retry = RetryPolicy::fast_test();
+        let fcfg = PlfsConfig { retry: RetryPolicy::fast_test(), ..Default::default() };
         let faulty = Plfs::new(faulty_store.clone() as Arc<dyn Backend>, fcfg);
 
         let diff = differential(
