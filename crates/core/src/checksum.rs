@@ -23,11 +23,24 @@
 //! The writer appends sidecar entries strictly *after* the bytes they
 //! cover land (data → chk, index → chki), so a crash can leave a tail
 //! uncovered but never covered-and-wrong. Files without a sidecar
-//! (containers written before this format, or with checksumming
-//! disabled) stay readable and are reported as "uncovered" by `fsck`
-//! and `scrub` — the header's version byte is the format escape hatch.
+//! (containers written before this format, a crash before the first
+//! sidecar flush, or a sidecar `repair` removed) stay readable and are
+//! reported as "uncovered" by `fsck` and `scrub` — the header's version
+//! byte is the format escape hatch.
+//!
+//! Reading a sidecar is decided here too, once, for every caller: the
+//! reader at open, `fsck`, `scrub` and `repair` all load through
+//! `Sidecar::load` and verify through `Coverage::walk`. The loader says
+//! what a sidecar claims (absent, unparseable, or which blocks it
+//! covers); an entry that starts at or past the covered file's end is
+//! an *overclaim*, a sidecar that rotted or outgrew its file. What to
+//! do about each case is the caller's policy, not the loader's.
 
+use crate::backend::Backend;
+use crate::read::read_at_least;
+use crate::retry::RetryPolicy;
 use std::io;
+use std::ops::{ControlFlow, Range};
 
 /// Bytes covered by one sidecar CRC entry.
 pub const VERIFY_BLOCK: u64 = 4096;
@@ -136,7 +149,7 @@ pub fn chk_header(block: u32) -> Vec<u8> {
 /// sidecar append is a crash artifact, and the whole entries before it
 /// are still valid. A short or mangled header is an error: the sidecar
 /// itself rotted, and nothing in it can be trusted.
-pub fn parse_chk(blob: &[u8]) -> io::Result<(u64, Vec<u32>)> {
+fn parse_chk(blob: &[u8]) -> io::Result<(u64, Vec<u32>)> {
     let bad = |why: &str| io::Error::new(io::ErrorKind::InvalidData, format!("chk sidecar: {why}"));
     if blob.len() < CHK_HEADER_BYTES {
         return Err(bad("short header"));
@@ -154,6 +167,107 @@ pub fn parse_chk(blob: &[u8]) -> io::Result<(u64, Vec<u32>)> {
     let body = &blob[CHK_HEADER_BYTES..];
     let crcs = body.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
     Ok((block, crcs))
+}
+
+/// Blocks per [`Coverage::walk`] backend read: 4 MiB at the default
+/// block size, so a walk streams instead of materializing whole
+/// droppings.
+const SCRUB_BLOCKS_PER_READ: usize = 1024;
+
+/// What one sidecar says about its covered file.
+pub(crate) enum Sidecar {
+    /// No sidecar file: the covered file is unverifiable, not suspect.
+    Absent,
+    /// The sidecar exists but its header is short or mangled. `len` is
+    /// the sidecar's own length; `why` names the defect.
+    Unparseable {
+        len: u64,
+        why: String,
+    },
+    Parsed(Coverage),
+}
+
+/// A parsed sidecar next to the covered file's length. Entry `k`
+/// covers [`Coverage::block_range`]`(k)`; bytes past the last entry are
+/// uncovered (a crash or mid-session tail).
+pub(crate) struct Coverage {
+    pub block: u64,
+    pub crcs: Vec<u32>,
+    /// Covered file length when the sidecar was loaded.
+    pub len: u64,
+    /// The sidecar ends in a partial entry (a torn append).
+    pub torn: bool,
+}
+
+impl Sidecar {
+    /// Load `sidecar` and measure `covered`: `exists`, then `read_all`,
+    /// then (only once the header parses) `len`. An unreadable sidecar
+    /// is an error; a missing covered file measures as empty.
+    pub(crate) fn load(backend: &dyn Backend, covered: &str, sidecar: &str) -> io::Result<Self> {
+        if !backend.exists(sidecar) {
+            return Ok(Sidecar::Absent);
+        }
+        let blob = backend.read_all(sidecar)?;
+        let (block, crcs) = match parse_chk(&blob) {
+            Ok(p) => p,
+            Err(e) => {
+                return Ok(Sidecar::Unparseable { len: blob.len() as u64, why: e.to_string() })
+            }
+        };
+        let torn = !(blob.len() - CHK_HEADER_BYTES).is_multiple_of(4);
+        let len = backend.len(covered).unwrap_or(0);
+        Ok(Sidecar::Parsed(Coverage { block, crcs, len, torn }))
+    }
+}
+
+impl Coverage {
+    /// Bytes entry `k` covers: `[k·block, min((k+1)·block, len))`,
+    /// empty when the entry starts at or past the covered file's end.
+    pub(crate) fn block_range(&self, k: usize) -> Range<u64> {
+        let start = k as u64 * self.block;
+        start.min(self.len)..(start + self.block).min(self.len)
+    }
+
+    /// The first entry that starts at or past the covered file's end:
+    /// the sidecar claims bytes that do not exist.
+    pub(crate) fn overclaim(&self) -> Option<usize> {
+        let first_past = self.len.div_ceil(self.block) as usize;
+        (first_past < self.crcs.len()).then_some(first_past)
+    }
+
+    /// Covered-file bytes past the last entry's coverage.
+    pub(crate) fn uncovered(&self) -> u64 {
+        self.len.saturating_sub(self.crcs.len() as u64 * self.block)
+    }
+
+    /// CRC-check every entry before any overclaim, in order, reading
+    /// `covered` [`SCRUB_BLOCKS_PER_READ`] blocks per backend read
+    /// (looping short reads). `f(k, range, ok)` sees each block; a
+    /// `Break(b)` stops the walk, which then returns `Some(b)`.
+    pub(crate) fn walk<B>(
+        &self,
+        backend: &dyn Backend,
+        covered: &str,
+        mut f: impl FnMut(usize, Range<u64>, bool) -> ControlFlow<B>,
+    ) -> io::Result<Option<B>> {
+        let end = self.overclaim().unwrap_or(self.crcs.len());
+        let (mut buf, once) = (Vec::new(), RetryPolicy::none());
+        for first in (0..end).step_by(SCRUB_BLOCKS_PER_READ) {
+            let last = (first + SCRUB_BLOCKS_PER_READ).min(end) - 1;
+            let base = self.block_range(first).start;
+            let need = (self.block_range(last).end - base) as usize;
+            buf.resize(need, 0);
+            read_at_least(backend, &once, covered, base, &mut buf, need, &mut 0)?;
+            for k in first..=last {
+                let r = self.block_range(k);
+                let bytes = &buf[(r.start - base) as usize..(r.end - base) as usize];
+                if let ControlFlow::Break(b) = f(k, r, crc32(bytes) == self.crcs[k]) {
+                    return Ok(Some(b));
+                }
+            }
+        }
+        Ok(None)
+    }
 }
 
 /// Incrementally hashes an append-only stream into sidecar entries.
@@ -268,29 +382,85 @@ mod tests {
         }
     }
 
-    #[test]
-    fn header_roundtrips_and_rejects_garbage() {
-        let hdr = chk_header(4096);
-        assert_eq!(hdr.len(), CHK_HEADER_BYTES);
-        let (block, crcs) = parse_chk(&hdr).unwrap();
-        assert_eq!(block, 4096);
-        assert!(crcs.is_empty());
-        assert!(parse_chk(&hdr[..5]).is_err(), "short header");
-        let mut bad = hdr.clone();
-        bad[0] ^= 1;
-        assert!(parse_chk(&bad).is_err(), "bad magic");
-        let mut vers = hdr.clone();
-        vers[8] = 9;
-        assert!(parse_chk(&vers).is_err(), "unknown version");
+    /// What the loader saw, then the walk: blocks visited, where the
+    /// last one ended, and the entries that mismatched.
+    fn describe(b: &dyn Backend) -> String {
+        let cov = match Sidecar::load(b, "/data", "/chk").unwrap() {
+            Sidecar::Absent => return "absent".into(),
+            Sidecar::Unparseable { len, why } => return format!("{why} ({len} B)"),
+            Sidecar::Parsed(cov) => cov,
+        };
+        let (mut n, mut end, mut bad) = (0, 0, Vec::new());
+        let walk = cov.walk(b, "/data", |k, r, ok| {
+            assert!(k == n && r.start == end, "block {k} at {r:?} does not follow on");
+            (n, end) = (n + 1, r.end);
+            bad.extend((!ok).then_some(k));
+            ControlFlow::<()>::Continue(())
+        });
+        assert_eq!(walk.unwrap(), None);
+        let (len, torn, over, unc) = (cov.crcs.len(), cov.torn, cov.overclaim(), cov.uncovered());
+        let walked = format!("walked {n} to {end}, bad {bad:?}");
+        format!("{len} entries, torn {torn}, over {over:?}, uncovered {unc}; {walked}")
     }
 
     #[test]
-    fn parse_tolerates_torn_entry_tail() {
-        let mut blob = chk_header(512);
-        blob.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
-        blob.extend_from_slice(&[1, 2]); // torn second entry
-        let (_, crcs) = parse_chk(&blob).unwrap();
-        assert_eq!(crcs, vec![0xDEAD_BEEF]);
+    fn loader_and_walk_read_every_sidecar_shape() {
+        let b = crate::backend::MemBackend::new();
+        let data = seeded_bytes(9000); // two full blocks and an 808 B tail
+        b.append("/data", &data).unwrap();
+        let entries = |block| -> Vec<u8> {
+            let crcs = data.chunks(block as usize).flat_map(|c| crc32(c).to_le_bytes());
+            chk_header(block).into_iter().chain(crcs).collect()
+        };
+        let (hdr, all) = (&entries(4096)[..CHK_HEADER_BYTES], entries(4096));
+        let edit = |at: usize, mask: u8| {
+            let mut blob = all.clone();
+            blob[at] ^= mask;
+            blob
+        };
+        let cases = [
+            ("absent", None, "absent"),
+            ("short header", Some(hdr[..5].to_vec()), "chk sidecar: short header (5 B)"),
+            ("bad magic", Some(edit(0, 1)), "chk sidecar: bad magic (25 B)"),
+            ("version", Some(edit(8, 8)), "chk sidecar: unknown format version (25 B)"),
+            (
+                "header only",
+                Some(hdr.to_vec()),
+                "0 entries, torn false, over None, uncovered 9000; walked 0 to 0, bad []",
+            ),
+            (
+                "torn trailing bytes",
+                Some(all[..CHK_HEADER_BYTES + 10].to_vec()),
+                "2 entries, torn true, over None, uncovered 808; walked 2 to 8192, bad []",
+            ),
+            (
+                "partial tail block",
+                Some(all.clone()),
+                "3 entries, torn false, over None, uncovered 0; walked 3 to 9000, bad []",
+            ),
+            (
+                "overclaim",
+                Some([&all[..], &[0; 8]].concat()),
+                "5 entries, torn false, over Some(3), uncovered 0; walked 3 to 9000, bad []",
+            ),
+            (
+                "three backend reads", // 4-byte blocks, 1024 per read
+                Some(entries(4)),
+                "2250 entries, torn false, over None, uncovered 0; walked 2250 to 9000, bad []",
+            ),
+            (
+                "rotten entry",
+                Some(edit(CHK_HEADER_BYTES + 4, 1)),
+                "3 entries, torn false, over None, uncovered 0; walked 3 to 9000, bad [1]",
+            ),
+        ];
+        for (case, sidecar, want) in cases {
+            let _ = b.remove("/chk");
+            if let Some(blob) = sidecar {
+                b.append("/chk", &blob).unwrap();
+            }
+            assert_eq!(describe(&b), want, "{case}");
+        }
     }
 
     #[test]

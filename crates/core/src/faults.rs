@@ -19,7 +19,7 @@
 //!   before the error surfaces — the on-store state advanced, the
 //!   caller doesn't know by how much. This is what a power cut mid
 //!   `write(2)` leaves behind and what
-//!   [`crate::retry::append_reliable`] recovers from.
+//!   [`crate::retry::append_at_reliable`] recovers from.
 //! - **crash-stop**: once the cumulative appended-byte budget is
 //!   exhausted, the backend freezes at that exact byte state; every
 //!   subsequent operation fails until [`FaultyBackend::heal`] simulates

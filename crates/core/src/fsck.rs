@@ -21,11 +21,12 @@
 
 use crate::backend::Backend;
 use crate::canonical::{freshness, CanonicalIndex};
-use crate::checksum::{crc32, parse_chk, CHK_HEADER_BYTES};
+use crate::checksum::{Sidecar, CHK_HEADER_BYTES};
 use crate::container::{compact_epoch_ledger, discover_droppings, is_container, ContainerPaths};
 use crate::index::{decode, decode_prefix, encode_raw, IndexEntry};
 use crate::pool;
 use std::io;
+use std::ops::ControlFlow;
 
 /// One detected problem.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,8 +73,8 @@ pub struct FsckReport {
     pub logical_eof: u64,
     pub errors: Vec<FsckError>,
     /// Per rank: dropping bytes (data + index) not covered by a
-    /// checksum sidecar — legacy sessions, checksumming disabled, or a
-    /// crash before the sidecar flush. Informational, never an error:
+    /// checksum sidecar — legacy sessions, a sidecar `repair` removed,
+    /// or a crash before the sidecar flush. Informational, never an error:
     /// uncovered bytes read fine, they just can't be verified. Use
     /// [`scrub`] to checksum-walk what *is* covered.
     pub uncovered: Vec<(u32, u64)>,
@@ -154,8 +155,16 @@ pub fn fsck(backend: &dyn Backend, logical: &str, hostdirs: u32) -> io::Result<F
                 orphaned_bytes: data_len - highest_physical,
             });
         }
-        let unc = uncovered_bytes(backend, data_path, &paths.chk_dropping(*rank))
-            + uncovered_bytes(backend, idx_path, &paths.index_chk_dropping(*rank));
+        // Whole file when the sidecar is absent, unreadable or
+        // unparseable; O(sidecar), never O(data).
+        let unc: u64 =
+            [(data_path, paths.chk_dropping(*rank)), (idx_path, paths.index_chk_dropping(*rank))]
+                .iter()
+                .map(|(covered, sidecar)| match Sidecar::load(backend, covered, sidecar) {
+                    Ok(Sidecar::Parsed(cov)) => cov.uncovered(),
+                    _ => backend.len(covered).unwrap_or(0),
+                })
+                .sum();
         if unc > 0 {
             report.uncovered.push((*rank, unc));
         }
@@ -195,35 +204,6 @@ pub fn fsck(backend: &dyn Backend, logical: &str, hostdirs: u32) -> io::Result<F
 }
 
 // ----------------------------------------------------------------- scrub
-
-/// Bytes of `covered` that `sidecar` does not checksum (whole file when
-/// the sidecar is absent or unparseable). O(sidecar), never O(data).
-fn uncovered_bytes(backend: &dyn Backend, covered: &str, sidecar: &str) -> u64 {
-    let clen = backend.len(covered).unwrap_or(0);
-    let Ok(blob) = backend.read_all(sidecar) else {
-        return clen;
-    };
-    match parse_chk(&blob) {
-        Ok((block, crcs)) => clen.saturating_sub((crcs.len() as u64 * block).min(clen)),
-        Err(_) => clen,
-    }
-}
-
-/// Loop short reads until `buf` is full.
-fn read_exact_at(backend: &dyn Backend, path: &str, off: u64, buf: &mut [u8]) -> io::Result<()> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        let got = backend.read_at(path, off + filled as u64, &mut buf[filled..])?;
-        if got == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("{path} truncated at {}", off + filled as u64),
-            ));
-        }
-        filled += got;
-    }
-    Ok(())
-}
 
 /// One corrupt region [`scrub`] found. `path` is the file whose bytes
 /// can't be trusted: the covered dropping for a checksum mismatch, the
@@ -268,10 +248,6 @@ struct RankScrub {
     findings: Vec<ScrubFinding>,
 }
 
-/// Blocks per scrub read: 4 MiB chunks at the default block size, so
-/// the walk streams instead of materializing whole droppings.
-const SCRUB_BLOCKS_PER_READ: usize = 1024;
-
 /// Checksum-walk one covered/sidecar pair, appending findings.
 fn scrub_pair(
     backend: &dyn Backend,
@@ -280,60 +256,32 @@ fn scrub_pair(
     sidecar: &str,
     out: &mut RankScrub,
 ) -> io::Result<()> {
-    let clen = backend.len(covered).unwrap_or(0);
-    if !backend.exists(sidecar) {
-        out.uncovered += clen;
-        return Ok(());
-    }
-    let blob = backend.read_all(sidecar)?;
-    let Ok((block, crcs)) = parse_chk(&blob) else {
-        out.findings.push(ScrubFinding {
-            rank,
-            path: sidecar.to_string(),
-            offset: 0,
-            len: blob.len() as u64,
-        });
-        out.uncovered += clen;
-        return Ok(());
+    let finding = |path: &str, offset, len| ScrubFinding { rank, path: path.into(), offset, len };
+    let cov = match Sidecar::load(backend, covered, sidecar)? {
+        Sidecar::Parsed(cov) => cov,
+        unverifiable => {
+            if let Sidecar::Unparseable { len, .. } = unverifiable {
+                out.findings.push(finding(sidecar, 0, len));
+            }
+            out.uncovered += backend.len(covered).unwrap_or(0);
+            return Ok(());
+        }
     };
-    let mut k = 0usize;
-    while k < crcs.len() {
-        let bstart = k as u64 * block;
-        if bstart >= clen {
-            // The sidecar claims coverage of bytes that don't exist:
-            // the sidecar (not the dropping) is the corrupt artifact.
-            out.findings.push(ScrubFinding {
-                rank,
-                path: sidecar.to_string(),
-                offset: CHK_HEADER_BYTES as u64 + 4 * k as u64,
-                len: 4 * (crcs.len() - k) as u64,
-            });
-            break;
+    cov.walk(backend, covered, |_, r, ok| {
+        out.blocks += 1;
+        out.bytes += r.end - r.start;
+        if !ok {
+            out.findings.push(finding(covered, r.start, r.end - r.start));
         }
-        let nblocks = (crcs.len() - k).min(SCRUB_BLOCKS_PER_READ);
-        let want = (nblocks as u64 * block).min(clen - bstart) as usize;
-        let mut buf = vec![0u8; want];
-        read_exact_at(backend, covered, bstart, &mut buf)?;
-        for j in 0..nblocks {
-            let s = (j as u64 * block) as usize;
-            if s >= want {
-                break; // entries past EOF: caught on the next iteration
-            }
-            let e = (s + block as usize).min(want);
-            out.blocks += 1;
-            out.bytes += (e - s) as u64;
-            if crc32(&buf[s..e]) != crcs[k + j] {
-                out.findings.push(ScrubFinding {
-                    rank,
-                    path: covered.to_string(),
-                    offset: bstart + s as u64,
-                    len: (e - s) as u64,
-                });
-            }
-        }
-        k += nblocks;
+        ControlFlow::<()>::Continue(())
+    })?;
+    if let Some(k) = cov.overclaim() {
+        // The sidecar claims coverage of bytes that don't exist: the
+        // sidecar (not the dropping) is the corrupt artifact.
+        let offset = (CHK_HEADER_BYTES + 4 * k) as u64;
+        out.findings.push(finding(sidecar, offset, 4 * (cov.crcs.len() - k) as u64));
     }
-    out.uncovered += clen.saturating_sub((crcs.len() as u64 * block).min(clen));
+    out.uncovered += cov.uncovered();
     Ok(())
 }
 
@@ -352,29 +300,16 @@ pub fn scrub(backend: &dyn Backend, logical: &str, hostdirs: u32) -> io::Result<
     }
     let paths = ContainerPaths::new(logical, hostdirs);
     let droppings = discover_droppings(backend, &paths)?;
-    let jobs: Vec<(u32, [(String, String); 2])> = droppings
-        .iter()
-        .map(|(rank, idx_path, data_path)| {
-            (
-                *rank,
-                [
-                    (data_path.clone(), paths.chk_dropping(*rank)),
-                    (idx_path.clone(), paths.index_chk_dropping(*rank)),
-                ],
-            )
-        })
-        .collect();
     let cap = pool::available_parallelism();
-    let (results, _) = pool::run_bounded(jobs.len(), cap, |i| {
-        let (rank, pairs) = &jobs[i];
+    let (results, _) = pool::run_bounded(droppings.len(), cap, |i| {
+        let (rank, idx_path, data_path) = &droppings[i];
         let mut out = RankScrub::default();
-        for (covered, sidecar) in pairs {
-            scrub_pair(backend, *rank, covered, sidecar, &mut out)?;
-        }
+        scrub_pair(backend, *rank, data_path, &paths.chk_dropping(*rank), &mut out)?;
+        scrub_pair(backend, *rank, idx_path, &paths.index_chk_dropping(*rank), &mut out)?;
         Ok::<(u32, RankScrub), io::Error>((*rank, out))
     });
 
-    let mut report = ScrubReport { ranks: jobs.len(), ..Default::default() };
+    let mut report = ScrubReport { ranks: droppings.len(), ..Default::default() };
     for r in results {
         let (rank, out) = r?;
         report.checked_blocks += out.blocks;
@@ -516,36 +451,13 @@ fn first_corrupt_block(
     covered: &str,
     sidecar: &str,
 ) -> io::Result<Option<u64>> {
-    let Ok(blob) = backend.read_all(sidecar) else {
+    let Ok(Sidecar::Parsed(cov)) = Sidecar::load(backend, covered, sidecar) else {
         return Ok(None);
     };
-    let Ok((block, crcs)) = parse_chk(&blob) else {
-        return Ok(None);
-    };
-    let clen = backend.len(covered).unwrap_or(0);
-    let mut k = 0usize;
-    while k < crcs.len() {
-        let bstart = k as u64 * block;
-        if bstart >= clen {
-            break;
-        }
-        let nblocks = (crcs.len() - k).min(SCRUB_BLOCKS_PER_READ);
-        let want = (nblocks as u64 * block).min(clen - bstart) as usize;
-        let mut buf = vec![0u8; want];
-        read_exact_at(backend, covered, bstart, &mut buf)?;
-        for j in 0..nblocks {
-            let s = (j as u64 * block) as usize;
-            if s >= want {
-                break;
-            }
-            let e = (s + block as usize).min(want);
-            if crc32(&buf[s..e]) != crcs[k + j] {
-                return Ok(Some(bstart + s as u64));
-            }
-        }
-        k += nblocks;
-    }
-    Ok(None)
+    cov.walk(backend, covered, |_, r, ok| match ok {
+        true => ControlFlow::Continue(()),
+        false => ControlFlow::Break(r.start),
+    })
 }
 
 /// Reconcile one checksum sidecar with its covered file after the
@@ -563,43 +475,30 @@ fn reconcile_sidecar(
     modified: bool,
     actions: &mut Vec<RepairAction>,
 ) -> io::Result<()> {
-    if !backend.exists(sidecar) {
-        return Ok(());
-    }
-    if !backend.exists(covered) {
+    let remove = |actions: &mut Vec<RepairAction>| {
         backend.remove(sidecar)?;
         actions.push(RepairAction::RemovedChecksumSidecar { rank });
-        return Ok(());
-    }
-    let blob = backend.read_all(sidecar)?;
-    let Ok((block, crcs)) = parse_chk(&blob) else {
-        backend.remove(sidecar)?;
-        actions.push(RepairAction::RemovedChecksumSidecar { rank });
-        return Ok(());
+        Ok(())
     };
-    let clen = backend.len(covered).unwrap_or(0);
-    let mut keep = crcs.len();
-    while keep > 0 {
-        let k = (keep - 1) as u64;
-        if (k + 1) * block <= clen {
-            break; // full block: always valid to keep
-        }
-        if k * block < clen && !modified && keep == crcs.len() {
-            break; // untouched file's own close-time tail CRC
-        }
-        keep -= 1;
-    }
-    let want_len = CHK_HEADER_BYTES + 4 * keep;
-    if keep == crcs.len() && blob.len() == want_len {
+    let cov = match Sidecar::load(backend, covered, sidecar)? {
+        Sidecar::Absent => return Ok(()),
+        Sidecar::Parsed(cov) if backend.exists(covered) => cov,
+        // Unparseable, or its covered file is gone.
+        _ => return remove(actions),
+    };
+    // Full blocks always stay; so does an untouched file's own
+    // close-time tail CRC, unless entries past EOF follow it.
+    let n = cov.crcs.len();
+    let full_blocks = (cov.len / cov.block) as usize;
+    let keep = if modified || cov.overclaim().is_some() { n.min(full_blocks) } else { n };
+    if keep == n && !cov.torn {
         return Ok(()); // consistent, no torn trailing bytes either
     }
     if keep == 0 {
-        backend.remove(sidecar)?;
-        actions.push(RepairAction::RemovedChecksumSidecar { rank });
-        return Ok(());
+        return remove(actions);
     }
-    truncate_file(backend, sidecar, want_len as u64)?;
-    actions.push(RepairAction::TrimmedChecksumTail { rank, dropped_entries: crcs.len() - keep });
+    truncate_file(backend, sidecar, (CHK_HEADER_BYTES + 4 * keep) as u64)?;
+    actions.push(RepairAction::TrimmedChecksumTail { rank, dropped_entries: n - keep });
     Ok(())
 }
 
@@ -1260,6 +1159,43 @@ mod tests {
     }
 
     #[test]
+    fn sidecar_claiming_blocks_past_eof_is_a_finding_everywhere() {
+        let (fs, b) = setup();
+        let mut w = fs.open_writer("/f", 0).unwrap();
+        w.write_at(0, &[5u8; 9000]).unwrap();
+        w.close().unwrap(); // three entries: 4096 + 4096 + 808 bytes
+        let paths = crate::container::ContainerPaths::new("/f", 4);
+        let chk = paths.chk_dropping(0);
+        b.append(&chk, &[0u8; 8]).unwrap(); // two entries past EOF
+
+        // Scrub verifies the real blocks, then indicts the sidecar.
+        let rep = scrub(b.as_ref(), "/f", 4).unwrap();
+        assert_eq!(rep.checked_blocks, 3 + 1, "three data blocks plus one index block");
+        assert_eq!(
+            rep.findings,
+            vec![ScrubFinding { rank: 0, path: chk.clone(), offset: 25, len: 8 }]
+        );
+        assert!(rep.uncovered.is_empty(), "{:?}", rep.uncovered);
+
+        // The reader trusts nothing about the dropping.
+        let err = fs.open_reader("/f").unwrap().read_all().unwrap_err();
+        assert!(crate::retry::is_integrity(&err), "{err}");
+        assert!(err.to_string().contains(&chk), "{err}");
+        let mut r = fs.open_reader("/f").unwrap();
+        r.set_quarantine(crate::read::QuarantinePolicy::ZeroFill);
+        assert_eq!(r.read_all().unwrap(), vec![5u8; 9000]);
+
+        // Every covered block verifies, so pass 0 cuts nothing; the
+        // sidecar reconcile trims the overclaim and the close-time tail.
+        let opts = RepairOptions { truncate_corrupt_tails: true, ..Default::default() };
+        let rep = repair(b.as_ref(), "/f", 4, &opts).unwrap();
+        let trim = RepairAction::TrimmedChecksumTail { rank: 0, dropped_entries: 3 };
+        assert_eq!(rep.actions, vec![trim, RepairAction::DroppedStaleCanonical]);
+        assert!(scrub(b.as_ref(), "/f", 4).unwrap().is_clean());
+        assert_eq!(fs.open_reader("/f").unwrap().read_all().unwrap(), vec![5u8; 9000]);
+    }
+
+    #[test]
     fn scrub_flags_corrupt_canonical_cache() {
         let (fs, b) = setup();
         healthy(&fs);
@@ -1272,18 +1208,14 @@ mod tests {
 
     #[test]
     fn unchecksummed_containers_scrub_clean_but_report_uncovered() {
-        let b = Arc::new(MemBackend::new());
-        let fs = Plfs::new(
-            b.clone() as Arc<dyn Backend>,
-            PlfsConfig {
-                hostdirs: 4,
-                writer: crate::write::WriterConfig { checksum: false, ..Default::default() },
-                ..Default::default()
-            },
-        );
+        let (fs, b) = setup();
         let mut w = fs.open_writer("/f", 0).unwrap();
         w.write_at(0, &[7u8; 2000]).unwrap();
         w.close().unwrap();
+        // A container from before sidecars: same droppings, no `chk`.
+        let paths = crate::container::ContainerPaths::new("/f", 4);
+        b.remove(&paths.chk_dropping(0)).unwrap();
+        b.remove(&paths.index_chk_dropping(0)).unwrap();
         let rep = scrub(b.as_ref(), "/f", 4).unwrap();
         assert!(rep.is_clean());
         assert_eq!(rep.checked_blocks, 0);

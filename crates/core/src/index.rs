@@ -14,7 +14,7 @@
 //!   work (§1.1, item 5).
 //!
 //! Since the integrity work, records are *framed with a checksum*: the
-//! encoder emits tags [`3`](TAG_RAW_C)/[`4`](TAG_PATTERN_C), whose body
+//! encoder emits tags `3`/`4` (raw/pattern), whose body
 //! is followed by a CRC32 of the tag byte plus body. The decoder still
 //! accepts the legacy unchecksummed tags `1`/`2`, so containers written
 //! before this format stay readable (they are merely reported as
@@ -142,7 +142,7 @@ pub struct PatternEntry {
 
 impl PatternEntry {
     /// Expand back into raw entries. Callers must only expand patterns
-    /// that pass [`pattern_in_range`] (decode does); arithmetic here is
+    /// that pass the decoder's range check (decode does); arithmetic here is
     /// unchecked.
     pub fn expand(&self) -> impl Iterator<Item = IndexEntry> + '_ {
         (0..self.count as u64).map(move |i| IndexEntry {

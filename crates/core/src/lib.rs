@@ -23,7 +23,7 @@
 //!   droppings, hostdir spreading, metadata droppings);
 //! - [`index`]: index records, pattern compression, and the
 //!   overlap-resolving [`index::IndexMap`];
-//! - [`write`] / [`read`]: the O(1) write path and the merge-at-open
+//! - [`mod@write`] / [`read`]: the O(1) write path and the merge-at-open
 //!   read path;
 //! - [`filesystem`]: the POSIX-flavoured top API ([`Plfs`]);
 //! - [`mpiio`]: collective (MPI-IO-like) adapter and the canonical

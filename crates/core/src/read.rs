@@ -29,7 +29,7 @@
 
 use crate::backend::Backend;
 use crate::canonical::{freshness, CanonicalIndex, Tail};
-use crate::checksum::{crc32, parse_chk};
+use crate::checksum::{crc32, Coverage, Sidecar};
 use crate::container::{discover_droppings, epoch_watermark, ContainerPaths};
 use crate::index::{decode, IndexEntry, IndexMap};
 use crate::metrics::PlfsMetrics;
@@ -38,6 +38,7 @@ use crate::retry::{IntegrityError, RetriedBackend, RetryPolicy};
 use obs::trace::Phase;
 use std::collections::HashMap;
 use std::io;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use workloads::oplog::{OpKind, OpResult};
@@ -89,7 +90,8 @@ pub enum QuarantinePolicy {
 
 /// Verification state of one writer's data dropping, loaded at open.
 enum ChkState {
-    /// No sidecar (legacy container or checksumming disabled).
+    /// No sidecar (legacy container, crash before the first sidecar
+    /// flush, or a sidecar `repair` removed).
     Uncovered,
     /// Sidecar loaded; per-block verification runs lazily on first
     /// touch, memoized in the bitmaps.
@@ -99,25 +101,38 @@ enum ChkState {
     Corrupt(String),
 }
 
-/// Per-block CRCs plus verify-once memoization. Entry `k` covers bytes
-/// `[k·block, min((k+1)·block, data_len))`; bytes past the last entry's
-/// coverage are uncovered (a crash or mid-session tail).
+impl ChkState {
+    /// The reader's policy over [`Sidecar::load`]: trust nothing about
+    /// a dropping whose sidecar is unreadable, unparseable, or claims
+    /// blocks past its end.
+    fn load(backend: &dyn Backend, data_path: &str, sidecar: &str) -> Self {
+        match Sidecar::load(backend, data_path, sidecar) {
+            Err(e) => ChkState::Corrupt(format!("sidecar unreadable: {e}")),
+            Ok(Sidecar::Absent) => ChkState::Uncovered,
+            Ok(Sidecar::Unparseable { why, .. }) => ChkState::Corrupt(why),
+            Ok(Sidecar::Parsed(cov)) if cov.overclaim().is_some() => ChkState::Corrupt(format!(
+                "sidecar covers {} blocks but dropping holds {} bytes",
+                cov.crcs.len(),
+                cov.len
+            )),
+            Ok(Sidecar::Parsed(cov)) => ChkState::Covered(ChkTable::new(cov)),
+        }
+    }
+}
+
+/// A dropping's coverage (never overclaimed) plus verify-once
+/// memoization, one bit per entry.
 struct ChkTable {
-    block: u64,
-    crcs: Vec<u32>,
-    /// Dropping length at open; coverage never extends past it.
-    data_len: u64,
+    cov: Coverage,
     verified: Vec<AtomicU64>,
     corrupt: Vec<AtomicU64>,
 }
 
 impl ChkTable {
-    fn new(block: u64, crcs: Vec<u32>, data_len: u64) -> Self {
-        let words = crcs.len().div_ceil(64);
+    fn new(cov: Coverage) -> Self {
+        let words = cov.crcs.len().div_ceil(64);
         ChkTable {
-            block,
-            crcs,
-            data_len,
+            cov,
             verified: (0..words).map(|_| AtomicU64::new(0)).collect(),
             corrupt: (0..words).map(|_| AtomicU64::new(0)).collect(),
         }
@@ -195,7 +210,7 @@ struct Batch<'a> {
 /// Returns the total bytes read (may exceed `need` up to `buf.len()` —
 /// the readahead surplus); errors with `UnexpectedEof` only when true
 /// EOF arrives before `need` bytes.
-fn read_at_least(
+pub(crate) fn read_at_least(
     backend: &dyn Backend,
     retry: &RetryPolicy,
     path: &str,
@@ -211,49 +226,12 @@ fn read_at_least(
         if got == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
-                format!("data dropping {path} truncated: wanted {need} at {off}, got {filled}"),
+                format!("{path} truncated: wanted {need} at {off}, got {filled}"),
             ));
         }
         filled += got;
     }
     Ok(filled)
-}
-
-/// Load the checksum sidecar for one writer's data dropping (at open).
-/// Absent sidecar → [`ChkState::Uncovered`]; unparseable, unreadable,
-/// or inconsistent with the dropping → [`ChkState::Corrupt`].
-fn load_chk_state(
-    backend: &dyn Backend,
-    paths: &ContainerPaths,
-    rank: u32,
-    data_path: &str,
-) -> ChkState {
-    let path = paths.chk_dropping(rank);
-    if !backend.exists(&path) {
-        return ChkState::Uncovered;
-    }
-    let blob = match backend.read_all(&path) {
-        Ok(b) => b,
-        Err(e) => return ChkState::Corrupt(format!("sidecar unreadable: {e}")),
-    };
-    let (block, crcs) = match parse_chk(&blob) {
-        Ok(p) => p,
-        Err(e) => return ChkState::Corrupt(e.to_string()),
-    };
-    if crcs.is_empty() {
-        // Header-only sidecar: a session that never completed a block.
-        return ChkState::Uncovered;
-    }
-    let data_len = backend.len(data_path).unwrap_or(0);
-    if (crcs.len() as u64 - 1) * block >= data_len {
-        // An entry starts at/after EOF: the sidecar claims coverage of
-        // bytes that don't exist. Trust nothing about this dropping.
-        return ChkState::Corrupt(format!(
-            "sidecar covers {} blocks but dropping holds {data_len} bytes",
-            crcs.len()
-        ));
-    }
-    ChkState::Covered(ChkTable::new(block, crcs, data_len))
 }
 
 /// What the ingest stage produced for the merge.
@@ -330,7 +308,7 @@ impl Reader {
         // stays valid for every byte it covers.
         let mut chk = HashMap::new();
         for (rank, _, data_path) in &droppings {
-            chk.insert(*rank, load_chk_state(&retried, &paths, *rank, data_path));
+            chk.insert(*rank, ChkState::load(&retried, data_path, &paths.chk_dropping(*rank)));
         }
 
         root.end();
@@ -429,17 +407,13 @@ impl Reader {
             }
             Some(ChkState::Covered(t)) => t,
         };
-        let bsz = table.block;
+        let bsz = table.cov.block;
         let span_end = phys + buf.len() as u64;
         for k in phys / bsz..=(span_end - 1) / bsz {
-            if k as usize >= table.crcs.len() {
+            if k as usize >= table.cov.crcs.len() {
                 break; // uncovered tail (crash or mid-session bytes)
             }
-            let bstart = k * bsz;
-            let bend = ((k + 1) * bsz).min(table.data_len);
-            if bend <= bstart {
-                break;
-            }
+            let Range { start: bstart, end: bend } = table.cov.block_range(k as usize);
             let mut bad = ChkTable::get(&table.corrupt, k);
             if !bad && !ChkTable::get(&table.verified, k) {
                 let crc = if bstart >= phys && bend <= span_end {
@@ -461,7 +435,7 @@ impl Reader {
                 };
                 self.metrics.verify_blocks.inc();
                 self.metrics.verify_bytes.add(bend - bstart);
-                if crc == table.crcs[k as usize] {
+                if crc == table.cov.crcs[k as usize] {
                     ChkTable::set(&table.verified, k);
                 } else {
                     ChkTable::set(&table.corrupt, k);
@@ -825,7 +799,7 @@ fn ingest(
                 persist: None, // exactly current already
             });
         }
-        if let Some(mut ingest) = ingest_tails(retried, paths, &canon, &tails, metrics, root_id) {
+        if let Some(mut ingest) = ingest_tails(retried, &tails, metrics, root_id) {
             // Stamp the refreshed cache with the grown lengths.
             let mut covered: std::collections::HashMap<u32, u64> =
                 canon.covered.iter().copied().collect();
@@ -891,8 +865,6 @@ fn ingest(
 /// `None` means a tail was unreadable — caller rebuilds cold.
 fn ingest_tails(
     retried: &RetriedBackend<'_>,
-    _paths: &ContainerPaths,
-    canon: &CanonicalIndex,
     tails: &[Tail],
     metrics: &Arc<PlfsMetrics>,
     root_id: u64,
@@ -921,7 +893,6 @@ fn ingest_tails(
         index_bytes += bytes;
         fragment_lists.push(entries);
     }
-    let _ = canon;
     Some(Ingest {
         fragment_lists,
         raw_entries,
@@ -1612,18 +1583,12 @@ mod tests {
     #[test]
     fn unchecksummed_legacy_container_reads_without_verification() {
         let (b, p, m) = setup(2);
-        let mut w = Writer::new(
-            b.clone() as Arc<dyn Backend>,
-            p.clone(),
-            WriterConfig { checksum: false, ..Default::default() },
-            RetryPolicy::default(),
-            0,
-            m.clone(),
-            0,
-        )
-        .unwrap();
+        let mut w = mkwriter(&b, &p, &m, 0);
         w.write_at(0, &[4u8; 2000]).unwrap();
         w.close().unwrap();
+        // A container from before sidecars: same droppings, no `chk`.
+        b.remove(&p.chk_dropping(0)).unwrap();
+        b.remove(&p.index_chk_dropping(0)).unwrap();
         assert!(!b.exists(&p.chk_dropping(0)));
         let r = reader(&b, &p);
         assert_eq!(r.read_all().unwrap(), vec![4u8; 2000]);

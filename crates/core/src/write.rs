@@ -14,7 +14,7 @@
 use crate::backend::Backend;
 use crate::checksum::{chk_header, ChkBuilder, VERIFY_BLOCK};
 use crate::container::ContainerPaths;
-use crate::index::{encode_compressed, encode_raw, IndexEntry};
+use crate::index::{encode_compressed, IndexEntry};
 use crate::metrics::PlfsMetrics;
 use crate::record::err_token;
 use crate::retry::{append_at_reliable, append_at_reliable_traced, len_or_zero, RetryPolicy};
@@ -23,32 +23,22 @@ use std::io;
 use std::sync::Arc;
 use workloads::oplog::{OpKind, OpResult};
 
-/// Writer-side knobs.
+/// Writer-side knobs. The index is always pattern-compressed and every
+/// dropping always gets a checksum sidecar (`chk.R` / `chki.R`, see
+/// [`crate::checksum`]).
 #[derive(Debug, Clone)]
 pub struct WriterConfig {
     /// Stage data locally and append in chunks of this size (0 =
     /// write-through).
     pub data_buffer: usize,
-    /// Use pattern compression when persisting the index.
-    pub compress_index: bool,
     /// Flush the in-memory index every N entries (it always flushes on
     /// sync/close).
     pub index_flush_every: usize,
-    /// Maintain per-block checksum sidecars (`chk.R` / `chki.R`, see
-    /// [`crate::checksum`]) alongside the droppings. Off produces a
-    /// legacy container: readable everywhere, reported as "uncovered"
-    /// by `fsck` and unverifiable by `scrub`.
-    pub checksum: bool,
 }
 
 impl Default for WriterConfig {
     fn default() -> Self {
-        WriterConfig {
-            data_buffer: 1 << 20,
-            compress_index: true,
-            index_flush_every: 4096,
-            checksum: true,
-        }
+        WriterConfig { data_buffer: 1 << 20, index_flush_every: 4096 }
     }
 }
 
@@ -66,13 +56,19 @@ struct SidecarState {
 }
 
 /// Flush a sidecar's pending bytes, resuming any torn prior attempt.
+/// `seal` (close only) also covers the final partial block, so a
+/// cleanly closed container is checksummed to its last byte.
 fn flush_sidecar(
     backend: &dyn Backend,
     retry: &RetryPolicy,
     sc: &mut SidecarState,
+    seal: bool,
 ) -> io::Result<()> {
     let completed = sc.builder.take_pending();
     sc.pending.extend_from_slice(&completed);
+    if let Some(crc) = sc.builder.tail_crc().filter(|_| seal) {
+        sc.pending.extend_from_slice(&crc.to_le_bytes());
+    }
     if sc.pending.is_empty() {
         return Ok(());
     }
@@ -128,12 +124,12 @@ pub struct Writer {
     /// to that file must re-measure the tail before writing.
     data_tail_uncertain: bool,
     index_tail_uncertain: bool,
-    /// Checksum sidecars (`None` when `cfg.checksum` is off): bytes are
-    /// hashed the moment their append succeeds, sidecar entries land
-    /// lazily on sync/close — so a sidecar may under-cover its file
-    /// (crash artifact, reported as "uncovered") but never over-cover.
-    chk: Option<SidecarState>,
-    chki: Option<SidecarState>,
+    /// Checksum sidecars: bytes are hashed the moment their append
+    /// succeeds, sidecar entries land lazily on sync/close — so a
+    /// sidecar may under-cover its file (crash artifact, reported as
+    /// "uncovered") but never over-cover.
+    chk: SidecarState,
+    chki: SidecarState,
     stats: WriterStats,
     open_dropping: String,
     closed: bool,
@@ -174,8 +170,7 @@ impl Writer {
         // appends to the covered files (their close-time tail CRC no
         // longer matches the grown tail block), so remove them *before*
         // any append — a reader must never see a stale sidecar next to
-        // grown data. Done even with checksumming off: better an
-        // uncovered dropping than a wrongly-covered one.
+        // grown data.
         for stale in [paths.chk_dropping(rank), paths.index_chk_dropping(rank)] {
             if backend.exists(&stale) {
                 retry.run(|| match backend.remove(&stale) {
@@ -184,30 +179,23 @@ impl Writer {
                 })?;
             }
         }
-        let (chk, chki) = if cfg.checksum {
-            // Resuming a session re-hashes the whole existing dropping:
-            // the rank is the sole writer of its log, so the writer
-            // trusts its own bytes (verification is the reader's and
-            // scrub's job). This also invalidates a previous close's
-            // tail CRC, which the resumed appends would outgrow.
-            let mk =
-                |path: String, covered_path: String, covered: u64| -> io::Result<SidecarState> {
-                    let mut builder = ChkBuilder::new(VERIFY_BLOCK);
-                    let mut pending = chk_header(VERIFY_BLOCK as u32);
-                    if covered > 0 {
-                        let existing = retry.run(|| backend.read_all(&covered_path))?;
-                        builder.absorb(&existing);
-                        pending.extend_from_slice(&builder.take_pending());
-                    }
-                    Ok(SidecarState { path, builder, pending, cursor: 0, uncertain: false })
-                };
-            (
-                Some(mk(paths.chk_dropping(rank), paths.data_dropping(rank), cursor)?),
-                Some(mk(paths.index_chk_dropping(rank), paths.index_dropping(rank), index_cursor)?),
-            )
-        } else {
-            (None, None)
+        // Resuming a session re-hashes the whole existing dropping: the
+        // rank is the sole writer of its log, so the writer trusts its
+        // own bytes (verification is the reader's and scrub's job). This
+        // also invalidates a previous close's tail CRC, which the
+        // resumed appends would outgrow.
+        let mk = |path: String, covered_path: String, covered: u64| -> io::Result<SidecarState> {
+            let mut builder = ChkBuilder::new(VERIFY_BLOCK);
+            let mut pending = chk_header(VERIFY_BLOCK as u32);
+            if covered > 0 {
+                let existing = retry.run(|| backend.read_all(&covered_path))?;
+                builder.absorb(&existing);
+                pending.extend_from_slice(&builder.take_pending());
+            }
+            Ok(SidecarState { path, builder, pending, cursor: 0, uncertain: false })
         };
+        let chk = mk(paths.chk_dropping(rank), paths.data_dropping(rank), cursor)?;
+        let chki = mk(paths.index_chk_dropping(rank), paths.index_dropping(rank), index_cursor)?;
         Ok(Writer {
             backend,
             paths,
@@ -361,9 +349,7 @@ impl Writer {
         span.end();
         self.data_tail_uncertain = res.is_err();
         if res.is_ok() {
-            if let Some(sc) = &mut self.chk {
-                sc.builder.absorb(data);
-            }
+            self.chk.builder.absorb(data);
         }
         res
     }
@@ -406,11 +392,7 @@ impl Writer {
         if self.pending_index.is_empty() {
             return Ok(());
         }
-        let encoded = if self.cfg.compress_index {
-            encode_compressed(&self.pending_index)
-        } else {
-            encode_raw(&self.pending_index)
-        };
+        let encoded = encode_compressed(&self.pending_index);
         self.pending_index.clear();
         if let Err(e) = self.append_index_bytes(&encoded, parent) {
             // Keep the exact bytes: re-encoding later (after more
@@ -445,9 +427,7 @@ impl Writer {
             self.stats.index_bytes += encoded.len() as u64;
             self.metrics.index_appends.inc();
             self.metrics.index_bytes_written.add(encoded.len() as u64);
-            if let Some(sc) = &mut self.chki {
-                sc.builder.absorb(encoded);
-            }
+            self.chki.builder.absorb(encoded);
         }
         res
     }
@@ -456,41 +436,17 @@ impl Writer {
     /// bytes they cover. Sidecar appends bypass the data/index append
     /// counters: they are integrity overhead, not workload I/O.
     fn flush_sidecars(&mut self, parent: u64) -> io::Result<()> {
-        if self.chk.is_none() && self.chki.is_none() {
-            return Ok(());
-        }
         let span =
             self.metrics.trace.start("plfs.chk_append", Phase::Transfer, &self.track(), parent);
         let mut res = Ok(());
-        for sc in [&mut self.chk, &mut self.chki].into_iter().flatten() {
-            let r = flush_sidecar(self.backend.as_ref(), &self.retry, sc);
+        for sc in [&mut self.chk, &mut self.chki] {
+            let r = flush_sidecar(self.backend.as_ref(), &self.retry, sc, false);
             if res.is_ok() {
                 res = r;
             }
         }
         span.end();
         res
-    }
-
-    /// Close-time only: cover the final partial block of each dropping,
-    /// so a cleanly closed container is checksummed to its last byte.
-    fn seal_sidecars(&mut self) -> io::Result<()> {
-        for sc in [&mut self.chk, &mut self.chki].into_iter().flatten() {
-            if let Some(crc) = sc.builder.tail_crc() {
-                let entry = crc.to_le_bytes();
-                append_at_reliable(
-                    self.backend.as_ref(),
-                    &self.retry,
-                    &sc.path,
-                    sc.cursor,
-                    &entry,
-                    sc.uncertain,
-                )?;
-                sc.cursor += entry.len() as u64;
-                sc.uncertain = false;
-            }
-        }
-        Ok(())
     }
 
     /// Flush everything to the backing store.
@@ -517,7 +473,9 @@ impl Writer {
     pub fn close(mut self) -> io::Result<WriterStats> {
         let res = (|| {
             self.sync()?;
-            self.seal_sidecars()?;
+            for sc in [&mut self.chk, &mut self.chki] {
+                flush_sidecar(self.backend.as_ref(), &self.retry, sc, true)?;
+            }
             let max_ts = self.metrics.clock.current();
             let meta =
                 self.paths.meta_dropping(self.rank, self.max_logical, self.stats.bytes, max_ts);
@@ -550,8 +508,10 @@ impl Drop for Writer {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
+    use crate::checksum::Sidecar;
     use crate::container::{create_container, ContainerPaths};
     use crate::index::decode;
+    use std::ops::ControlFlow::{Break, Continue};
 
     fn setup() -> (Arc<MemBackend>, ContainerPaths, Arc<PlfsMetrics>) {
         let b = Arc::new(MemBackend::new());
@@ -595,12 +555,7 @@ mod tests {
     #[test]
     fn buffered_writes_batch_appends() {
         let (b, p, clock) = setup();
-        let cfg = WriterConfig {
-            data_buffer: 1024,
-            compress_index: false,
-            index_flush_every: 1 << 30,
-            ..Default::default()
-        };
+        let cfg = WriterConfig { data_buffer: 1024, index_flush_every: 1 << 30 };
         let mut w = writer(&b, &p, &clock, 1, cfg);
         for i in 0..64u64 {
             w.write_at(i * 100, &[7u8; 100]).unwrap();
@@ -630,23 +585,16 @@ mod tests {
 
     #[test]
     fn compressed_index_is_smaller_for_strided_pattern() {
-        let run = |compress: bool| {
-            let (b, p, clock) = setup();
-            let cfg = WriterConfig {
-                data_buffer: 0,
-                compress_index: compress,
-                index_flush_every: 1 << 30,
-                ..Default::default()
-            };
-            let mut w = writer(&b, &p, &clock, 0, cfg);
-            for i in 0..1000u64 {
-                w.write_at(i * 8192, &[0u8; 1024]).unwrap();
-            }
-            w.sync().unwrap();
-            w.stats().index_bytes
-        };
-        let raw = run(false);
-        let compressed = run(true);
+        let (b, p, clock) = setup();
+        let cfg = WriterConfig { data_buffer: 0, index_flush_every: 1 << 30 };
+        let mut w = writer(&b, &p, &clock, 0, cfg);
+        for i in 0..1000u64 {
+            w.write_at(i * 8192, &[0u8; 1024]).unwrap();
+        }
+        w.sync().unwrap();
+        let compressed = w.stats().index_bytes;
+        let entries = decode(&b.read_all(&p.index_dropping(0)).unwrap()).unwrap();
+        let raw = crate::index::encode_raw(&entries).len() as u64;
         assert!(compressed * 20 < raw, "pattern compression ineffective: {compressed} vs {raw}");
     }
 
@@ -683,16 +631,14 @@ mod tests {
         assert!(idx_bytes > 0);
     }
 
+    /// Every byte of `covered` in exactly one matching `sidecar` entry.
     fn assert_sidecar_covers(b: &MemBackend, sidecar: &str, covered: &str) {
-        let data = b.read_all(covered).unwrap();
-        let (block, crcs) = crate::checksum::parse_chk(&b.read_all(sidecar).unwrap()).unwrap();
-        assert_eq!(block, VERIFY_BLOCK);
-        assert_eq!(crcs.len(), data.len().div_ceil(block as usize), "{sidecar} coverage");
-        for (k, crc) in crcs.iter().enumerate() {
-            let s = k * block as usize;
-            let e = (s + block as usize).min(data.len());
-            assert_eq!(*crc, crate::checksum::crc32(&data[s..e]), "{sidecar} block {k}");
-        }
+        let Ok(Sidecar::Parsed(cov)) = Sidecar::load(b, covered, sidecar) else {
+            panic!("{sidecar} did not parse");
+        };
+        assert_eq!((cov.block, cov.uncovered(), cov.overclaim()), (VERIFY_BLOCK, 0, None));
+        let bad = cov.walk(b, covered, |k, _, ok| if ok { Continue(()) } else { Break(k) });
+        assert_eq!(bad.unwrap(), None, "{sidecar}: first mismatched block");
     }
 
     #[test]
@@ -719,16 +665,6 @@ mod tests {
         w2.close().unwrap();
         assert_sidecar_covers(&b, &p.chk_dropping(0), &p.data_dropping(0));
         assert_sidecar_covers(&b, &p.index_chk_dropping(0), &p.index_dropping(0));
-    }
-
-    #[test]
-    fn checksum_off_writes_no_sidecars() {
-        let (b, p, m) = setup();
-        let mut w = writer(&b, &p, &m, 0, WriterConfig { checksum: false, ..Default::default() });
-        w.write_at(0, &[1u8; 64]).unwrap();
-        w.close().unwrap();
-        assert!(!b.exists(&p.chk_dropping(0)));
-        assert!(!b.exists(&p.index_chk_dropping(0)));
     }
 
     #[test]

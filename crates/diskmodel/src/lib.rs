@@ -14,7 +14,7 @@
 //!   greedy garbage collection, wear accounting;
 //! - [`profiles`]: the five flash devices of Table 1 plus reference
 //!   disks, parameterized from the published numbers;
-//! - [`device`]: the [`BlockDevice`](device::BlockDevice) trait the
+//! - [`device`]: the [`device::BlockDevice`] trait the
 //!   parallel-FS simulator consumes.
 
 pub mod device;

@@ -1,6 +1,6 @@
 //! The incast experiment: synchronized reads through one switch port.
 //!
-//! Reproduces report Fig. 9 / [Phanishayee08] / [Vasudevan09]: a client
+//! Reproduces report Fig. 9 / \[Phanishayee08\] / \[Vasudevan09\]: a client
 //! fetches a data block striped over N servers; each barrier round all
 //! N servers answer at once through the client's single switch port,
 //! whose shallow output buffer tail-drops the synchronized burst.

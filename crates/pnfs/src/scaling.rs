@@ -3,7 +3,7 @@
 //!
 //! The report (§2.2): "By separating data and metadata access, pNFS
 //! eliminates the server bottlenecks inherent to NAS access methods"
-//! and "promises state of the art performance [and] massive
+//! and "promises state of the art performance \[and\] massive
 //! scalability". This model measures exactly that crossover: aggregate
 //! read bandwidth as client count grows, for plain NFS (one server's
 //! NIC serializes all data) versus pNFS (a LAYOUTGET round trip at the

@@ -26,7 +26,7 @@ const SEED: u64 = 42;
 fn config() -> PlfsConfig {
     PlfsConfig {
         hostdirs: 4,
-        writer: WriterConfig { data_buffer: 2048, index_flush_every: 4, ..Default::default() },
+        writer: WriterConfig { data_buffer: 2048, index_flush_every: 4 },
         ..Default::default()
     }
 }

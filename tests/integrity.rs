@@ -24,6 +24,7 @@ fn integrity_sweep_detects_everything_and_never_cries_wolf() {
         assert!(c.identical, "{} ranks x {}: verified read diverged", c.ranks, c.per_rank);
         assert!(c.verify_blocks > 0, "{} ranks x {}: nothing was verified", c.ranks, c.per_rank);
         assert_eq!(c.verify_bytes, c.bytes, "first read must verify every delivered byte");
+        assert_eq!(c.warm_verify_blocks, 0, "{} ranks: warm passes re-hashed", c.ranks);
     }
     assert!(s.scrub_blocks > 0 && s.scrub_bytes > 0);
     // Wall-clock only means something in release; debug builds skip

@@ -198,7 +198,7 @@ fn crash_workload(crash_after: u64, seed: u64) -> (Arc<FaultyBackend<MemBackend>
         faulty.clone() as Arc<dyn Backend>,
         PlfsConfig {
             hostdirs: 2,
-            writer: WriterConfig { data_buffer: 128, index_flush_every: 4, ..Default::default() },
+            writer: WriterConfig { data_buffer: 128, index_flush_every: 4 },
             retry: RetryPolicy::none(),
             ..Default::default()
         },
@@ -352,7 +352,7 @@ fn strided_crash_workload(
         faulty.clone() as Arc<dyn Backend>,
         PlfsConfig {
             hostdirs: 2,
-            writer: WriterConfig { data_buffer: 64, index_flush_every: 3, ..Default::default() },
+            writer: WriterConfig { data_buffer: 64, index_flush_every: 3 },
             retry: RetryPolicy::none(),
             ..Default::default()
         },
@@ -450,7 +450,7 @@ fn service_crash_workload(
     ));
     let cfg = PlfsConfig {
         hostdirs: 2,
-        writer: WriterConfig { data_buffer: 128, index_flush_every: 4, ..Default::default() },
+        writer: WriterConfig { data_buffer: 128, index_flush_every: 4 },
         retry: RetryPolicy::none(),
         ..Default::default()
     };
