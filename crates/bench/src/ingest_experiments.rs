@@ -93,6 +93,7 @@ const PACE_FLOOR_NS: u64 = 10_000;
 /// One shard-count cell of the ingest grid.
 pub struct IngestCell {
     pub shards: usize,
+    /// Clients in the plan with at least one op.
     pub clients: u64,
     pub ops: u64,
     pub bytes: u64,
@@ -167,7 +168,7 @@ pub fn ingest_cell(shards: usize, swarm: &SwarmPlan) -> IngestCell {
 
     IngestCell {
         shards,
-        clients: stats.clients,
+        clients: swarm.per_client.iter().filter(|ops| !ops.is_empty()).count() as u64,
         ops: stats.enqueued_ops,
         bytes: stats.enqueued_bytes,
         wall_ns,

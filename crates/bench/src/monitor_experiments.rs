@@ -439,22 +439,19 @@ pub fn render_flaky_dashboard(frames: &[Frame]) -> String {
     out
 }
 
-/// The live scenario: PLFS with a wall of telemetry switched on —
-/// shared logical clock, flight recorder, windowed meters, live
+/// The live scenario: PLFS with a wall of telemetry switched on — a
+/// flight recorder whose logical clock is the instance clock, live
 /// injected-fault counters — over a store that turns hostile for two
 /// rounds and finally crash-stops.
 fn flaky_run() -> FlakyMonitorCell {
     let reg = Registry::new();
-    let clock = Clock::logical();
-    let flight = Recorder::new(&reg, &clock, 1 << 62, FLAKY_ROUNDS + 2);
+    let flight = Recorder::new(&reg, &Clock::logical(), 1 << 62, FLAKY_ROUNDS + 2);
     let faulty = Arc::new(FaultyBackend::new(MemBackend::new(), FaultPlan::none(11)));
     faulty.bind_obs(&reg);
 
     let mut cfg = PlfsConfig {
         metrics: reg.clone(),
-        clock: Some(clock.clone()),
         flight: flight.clone(),
-        meters: Some(obs::timeseries::WindowSpec::new(1 << 20, 8)),
         retry: RetryPolicy::fast_test(),
         ..Default::default()
     };

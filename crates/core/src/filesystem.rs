@@ -17,9 +17,8 @@ use crate::record::{err_token, OpLogRecorder};
 use crate::retry::{append_at_reliable, RetriedBackend, RetryPolicy};
 use crate::write::{Writer, WriterConfig};
 use obs::recorder::Recorder;
-use obs::timeseries::WindowSpec;
 use obs::trace::TraceSink;
-use obs::{Clock, Registry};
+use obs::Registry;
 use std::io;
 use std::sync::Arc;
 use workloads::oplog::{OpKind, OpResult};
@@ -45,20 +44,13 @@ pub struct PlfsConfig {
     /// operation this instance performs on the recorder's logical file
     /// is appended to the recorder. Off by default.
     pub record: Option<Arc<OpLogRecorder>>,
-    /// Instance time source override. `None` (default) keeps the
-    /// classic logical clock starting at 1; pass `Some(Clock::wall())`
-    /// for live monitoring, where `plfs.*.lat_ns` and the windowed
-    /// meters should measure real time. Index ordering only needs
-    /// monotonicity, which both modes provide.
-    pub clock: Option<Clock>,
     /// Flight-recorder probe shared by every handle (see
     /// [`obs::recorder::Recorder`]); the hot paths poll it once per op.
-    /// Build it over this config's `metrics` registry (and the same
-    /// clock) so frames see the instance's series. Disabled by default.
+    /// Build it over this config's `metrics` registry so frames see the
+    /// instance's series. Its clock becomes the instance clock, so a
+    /// wall-clock recorder makes `plfs.*.lat_ns` and spans measure real
+    /// time. Disabled by default, leaving the logical clock.
     pub flight: Recorder,
-    /// Window geometry for the live [`crate::metrics::PlfsMeters`];
-    /// `None` (default) disables windowed metering.
-    pub meters: Option<WindowSpec>,
 }
 
 impl Default for PlfsConfig {
@@ -70,9 +62,7 @@ impl Default for PlfsConfig {
             metrics: Registry::new(),
             trace: TraceSink::disabled(),
             record: None,
-            clock: None,
             flight: Recorder::disabled(),
-            meters: None,
         }
     }
 }
@@ -101,19 +91,7 @@ impl Plfs {
         // Bind the retry policy to the instance registry so masked /
         // surfaced / backoff counts land next to the plfs.* series.
         cfg.retry = cfg.retry.bound_to(&cfg.metrics);
-        // Index timestamps are sequence numbers by default, so the
-        // shared clock is logical; it starts at 1 so stamp 0 stays
-        // "never written". A wall clock (monotone too) may be swapped in
-        // for live monitoring.
-        let clock = cfg.clock.clone().unwrap_or_else(|| Clock::logical_at(1));
-        let metrics = PlfsMetrics::new_configured(
-            &cfg.metrics,
-            &clock,
-            cfg.trace.clone(),
-            cfg.record.clone(),
-            cfg.flight.clone(),
-            cfg.meters,
-        );
+        let metrics = PlfsMetrics::new(&cfg);
         Plfs { backend, cfg, metrics }
     }
 

@@ -86,7 +86,7 @@ pub use fsck::{
     ScrubFinding, ScrubReport,
 };
 pub use index::{IndexEntry, IndexMap};
-pub use metrics::{PlfsMeters, PlfsMetrics};
+pub use metrics::PlfsMetrics;
 pub use mpiio::{segmented_n1_pattern, strided_n1_pattern, ParallelFile};
 pub use read::{QuarantinePolicy, Reader, DEFAULT_READAHEAD, READ_CHUNK};
 pub use record::OpLogRecorder;

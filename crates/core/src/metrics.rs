@@ -1,10 +1,12 @@
 //! The PLFS instrumentation bundle.
 //!
-//! One [`PlfsMetrics`] is created per [`crate::Plfs`] instance and
-//! cloned (via `Arc`) into every writer and reader it hands out, so the
-//! whole stack records into a single [`Registry`] and stamps from a
-//! single [`Clock`] — the write path, read path, and retry layer share
-//! one time source instead of threading ad-hoc `Arc<AtomicU64>`s.
+//! One [`PlfsMetrics`] is built from the [`PlfsConfig`] of each
+//! [`crate::Plfs`] instance and cloned (via `Arc`) into every writer
+//! and reader it hands out, so the whole stack records into a single
+//! [`Registry`] and stamps from a single [`Clock`] — the flight
+//! recorder's when one is attached, else logical from 1. The write
+//! path, read path, retry layer and recorder share one time source
+//! instead of threading ad-hoc `Arc<AtomicU64>`s.
 //!
 //! Series schema (all under the instance's registry):
 //!
@@ -46,52 +48,25 @@
 //! fault injection adds `faults.*` (see
 //! [`crate::faults::FaultyBackend::export_into`]).
 
+use crate::filesystem::PlfsConfig;
 use crate::record::OpLogRecorder;
 use obs::recorder::Recorder;
-use obs::timeseries::{RateMeter, WindowHistogram, WindowSpec};
-use obs::trace::{TraceCtx, TraceSink};
+use obs::trace::TraceCtx;
 use obs::{Clock, Counter, Histogram, Registry, Timer};
 use std::sync::Arc;
-
-/// Windowed live meters for the hot paths: "how fast *right now*", as
-/// opposed to the cumulative registry series. One bundle per instance,
-/// shared by every handle; all four meters rotate on the instance
-/// clock, so in logical mode they window over logical ticks.
-#[derive(Debug, Clone)]
-pub struct PlfsMeters {
-    /// Write ops (events) and bytes (weight) per window.
-    pub write_rate: RateMeter,
-    /// Read ops (events) and delivered bytes (weight) per window.
-    pub read_rate: RateMeter,
-    /// Windowed `write_at` latency (p50/p95/p99/p999 over the window).
-    pub write_lat: WindowHistogram,
-    /// Windowed `read_at` latency.
-    pub read_lat: WindowHistogram,
-}
-
-impl PlfsMeters {
-    pub fn new(clock: &Clock, spec: WindowSpec) -> Arc<Self> {
-        Arc::new(PlfsMeters {
-            write_rate: RateMeter::new(clock, spec),
-            read_rate: RateMeter::new(clock, spec),
-            write_lat: WindowHistogram::new(clock, spec),
-            read_lat: WindowHistogram::new(clock, spec),
-        })
-    }
-}
 
 /// Counter/histogram handles for one PLFS instance.
 #[derive(Debug, Clone)]
 pub struct PlfsMetrics {
     /// The registry every series lives in (shared, clonable).
     pub registry: Registry,
-    /// The instance-wide time source: logical by default (index
-    /// timestamps are sequence numbers), wall if the caller wants real
-    /// span durations.
+    /// The instance-wide time source: the flight recorder's clock when
+    /// one is attached, else logical from 1 (index timestamps are
+    /// sequence numbers).
     pub clock: Clock,
-    /// Causal trace handle (disabled unless built via
-    /// [`PlfsMetrics::new_traced`]); reads the clock without stamping,
-    /// so enabling tracing never perturbs index timestamps.
+    /// Causal trace handle (disabled unless [`PlfsConfig::trace`] is
+    /// set); reads the clock without stamping, so enabling tracing
+    /// never perturbs index timestamps.
     pub trace: TraceCtx,
     pub write_ops: Counter,
     pub write_bytes: Counter,
@@ -134,47 +109,22 @@ pub struct PlfsMetrics {
     /// has passed. Disabled by default — the disabled probe is a single
     /// branch on `None`.
     pub flight: Recorder,
-    /// Windowed live meters ("ops/s over the last second"); `None` = off,
-    /// the default, costing one branch per op.
-    pub meters: Option<Arc<PlfsMeters>>,
 }
 
 impl PlfsMetrics {
-    /// Handles registered in `registry`, stamping from `clock`.
-    pub fn new(registry: &Registry, clock: &Clock) -> Arc<Self> {
-        PlfsMetrics::new_traced(registry, clock, TraceSink::disabled())
-    }
-
-    /// [`PlfsMetrics::new`] with a trace sink: spans are timed from the
-    /// same `clock` the metrics stamp from.
-    pub fn new_traced(registry: &Registry, clock: &Clock, sink: TraceSink) -> Arc<Self> {
-        PlfsMetrics::new_full(registry, clock, sink, None)
-    }
-
-    /// The full bundle: trace sink plus optional op-log capture.
-    pub fn new_full(
-        registry: &Registry,
-        clock: &Clock,
-        sink: TraceSink,
-        recorder: Option<Arc<OpLogRecorder>>,
-    ) -> Arc<Self> {
-        PlfsMetrics::new_configured(registry, clock, sink, recorder, Recorder::disabled(), None)
-    }
-
-    /// Everything: trace sink, op-log capture, flight recorder, and
-    /// optional windowed meters (rotating on `clock`).
-    pub fn new_configured(
-        registry: &Registry,
-        clock: &Clock,
-        sink: TraceSink,
-        recorder: Option<Arc<OpLogRecorder>>,
-        flight: Recorder,
-        meter_window: Option<WindowSpec>,
-    ) -> Arc<Self> {
+    /// Handles registered in `cfg.metrics`, with `cfg`'s trace sink,
+    /// op-log capture and flight recorder. The instance clock is the
+    /// recorder's, so frame cadence, `lat_ns` and spans share one time
+    /// base; without a recorder it is logical from 1, keeping stamp 0
+    /// "never written". Index ordering only needs monotonicity, which
+    /// both modes provide.
+    pub fn new(cfg: &PlfsConfig) -> Arc<Self> {
+        let clock = cfg.flight.clock().cloned().unwrap_or_else(|| Clock::logical_at(1));
+        let registry = &cfg.metrics;
         Arc::new(PlfsMetrics {
             registry: registry.clone(),
             clock: clock.clone(),
-            trace: TraceCtx::new(sink, clock.clone()),
+            trace: TraceCtx::new(cfg.trace.clone(), clock.clone()),
             write_ops: registry.counter("plfs.write.ops"),
             write_bytes: registry.counter("plfs.write.bytes"),
             write_errors: registry.counter("plfs.write.errors"),
@@ -205,18 +155,17 @@ impl PlfsMetrics {
             read_parallelism: registry.histogram("plfs.read.parallelism"),
             write_lat: registry.histogram("plfs.write.lat_ns"),
             read_lat: registry.histogram("plfs.read.lat_ns"),
-            open_timer: registry.timer("plfs.read.open_ns", clock),
-            recorder,
-            flight,
-            meters: meter_window.map(|spec| PlfsMeters::new(clock, spec)),
+            open_timer: registry.timer("plfs.read.open_ns", &clock),
+            recorder: cfg.record.clone(),
+            flight: cfg.flight.clone(),
         })
     }
 
-    /// A standalone bundle with its own private registry and a logical
-    /// clock starting at 0 — for tests and components used outside a
+    /// A standalone bundle with its own private registry and the
+    /// default logical clock — for tests and components used outside a
     /// [`crate::Plfs`] instance.
     pub fn detached() -> Arc<Self> {
-        PlfsMetrics::new(&Registry::new(), &Clock::logical())
+        PlfsMetrics::new(&PlfsConfig::default())
     }
 }
 
@@ -227,15 +176,27 @@ mod tests {
     #[test]
     fn handles_record_into_shared_registry() {
         let reg = Registry::new();
-        let clock = Clock::logical_at(5);
-        let m = PlfsMetrics::new(&reg, &clock);
+        let m = PlfsMetrics::new(&PlfsConfig { metrics: reg.clone(), ..Default::default() });
         m.write_ops.inc();
         m.write_bytes.add(100);
         m.merge_fanin.observe(8);
         assert_eq!(reg.value("plfs.write.ops"), Some(1));
         assert_eq!(reg.value("plfs.write.bytes"), Some(100));
         assert_eq!(reg.histogram("plfs.index.merge_fanin").count(), 1);
-        assert_eq!(m.clock.stamp(), 5, "clock is the one passed in");
+    }
+
+    #[test]
+    fn instance_clock_follows_the_flight_recorder() {
+        let m = PlfsMetrics::new(&PlfsConfig::default());
+        assert!(!m.clock.is_wall(), "no recorder: logical clock");
+        assert_eq!(m.clock.stamp(), 1, "stamp 0 stays \"never written\"");
+
+        let reg = Registry::new();
+        let clock = Clock::logical_at(40);
+        let flight = Recorder::new(&reg, &clock, 10, 4);
+        let m = PlfsMetrics::new(&PlfsConfig { metrics: reg, flight, ..Default::default() });
+        assert_eq!(m.clock.stamp(), 40, "the recorder's clock is the instance clock");
+        assert_eq!(clock.current(), 41, "one shared time base, not a copy");
     }
 
     #[test]

@@ -495,14 +495,8 @@ impl Reader {
         let res = self.read_at_uninstrumented(offset, buf);
         let dt = self.metrics.clock.now_nanos().saturating_sub(t0);
         self.metrics.read_lat.observe(dt);
-        match &res {
-            Ok(n) => {
-                if let Some(m) = &self.metrics.meters {
-                    m.read_rate.mark(*n as u64);
-                    m.read_lat.observe(dt);
-                }
-            }
-            Err(_) => self.metrics.read_errors.inc(),
+        if res.is_err() {
+            self.metrics.read_errors.inc();
         }
         self.metrics.flight.maybe_sample();
         res
@@ -937,6 +931,7 @@ mod tests {
     use super::*;
     use crate::backend::MemBackend;
     use crate::container::{create_container, ContainerPaths};
+    use crate::filesystem::PlfsConfig;
     use crate::write::{Writer, WriterConfig};
 
     fn setup(hostdirs: u32) -> (Arc<MemBackend>, ContainerPaths, Arc<PlfsMetrics>) {
@@ -1453,8 +1448,7 @@ mod tests {
             w.close().unwrap();
         }
         let sink = TraceSink::bounded(4096);
-        let rm =
-            PlfsMetrics::new_traced(&obs::Registry::new(), &obs::Clock::logical(), sink.clone());
+        let rm = PlfsMetrics::new(&PlfsConfig { trace: sink.clone(), ..Default::default() });
         let r = Reader::open(b.clone() as Arc<dyn Backend>, p.clone(), RetryPolicy::none(), rm)
             .unwrap();
         let _ = r.read_all().unwrap();
@@ -1478,8 +1472,7 @@ mod tests {
             w.close().unwrap();
         }
         let sink = TraceSink::bounded(4096);
-        let rm =
-            PlfsMetrics::new_traced(&obs::Registry::new(), &obs::Clock::logical(), sink.clone());
+        let rm = PlfsMetrics::new(&PlfsConfig { trace: sink.clone(), ..Default::default() });
         let _ = Reader::open(b.clone() as Arc<dyn Backend>, p.clone(), RetryPolicy::none(), rm)
             .unwrap();
         let spans = sink.snapshot();
@@ -1639,8 +1632,7 @@ mod tests {
         w.write_at(0, &[8u8; 2000]).unwrap();
         w.close().unwrap();
         let sink = TraceSink::bounded(4096);
-        let rm =
-            PlfsMetrics::new_traced(&obs::Registry::new(), &obs::Clock::logical(), sink.clone());
+        let rm = PlfsMetrics::new(&PlfsConfig { trace: sink.clone(), ..Default::default() });
         let r = Reader::open(b.clone() as Arc<dyn Backend>, p.clone(), RetryPolicy::none(), rm)
             .unwrap();
         let mut buf = vec![0u8; 2000];

@@ -181,7 +181,8 @@ impl PartialEq for RetryPolicy {
 }
 
 impl Default for RetryPolicy {
-    /// Production-flavoured: 4 retries, 5 ms → 80 ms backoff, 50% jitter.
+    /// Production-flavoured: 4 retries backing off 5, 10, 20 and 40 ms
+    /// before 50% jitter (so `max_delay` is never reached).
     fn default() -> Self {
         RetryPolicy {
             max_retries: 4,
@@ -628,6 +629,11 @@ mod tests {
             assert!(d >= Duration::from_millis(5), "attempt {a}: {d:?}");
         }
         assert!(p.backoff(4) > p.backoff(1));
+        let last = RetryPolicy::default().backoff(4);
+        assert!(
+            (Duration::from_millis(20)..=Duration::from_millis(40)).contains(&last),
+            "{last:?}"
+        );
     }
 
     /// The anti-thundering-herd property: policies seeded differently

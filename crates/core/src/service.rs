@@ -12,8 +12,7 @@
 //! - **Sharding.** Clients hash onto `shards` independent shards, each
 //!   owning its own [`Writer`] (rank = shard id, its own atomically
 //!   reserved session) behind its own mutex — no global lock on the
-//!   ingest path. A mutex-sharded session table tracks per-client
-//!   op/byte counts without serializing unrelated clients.
+//!   ingest path.
 //! - **Group commit.** Queued writes drain in batches: one
 //!   `write_at_stamped` per logical write, then **one** `sync()` (the
 //!   index append + flush) amortized across the whole batch. The
@@ -46,7 +45,7 @@ use crate::pool;
 use crate::write::Writer;
 use obs::trace::Phase;
 use obs::{Counter, Gauge, Histogram};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -99,8 +98,6 @@ pub struct ServiceStats {
     pub backpressure_stalls: u64,
     /// Total time producers spent blocked, nanoseconds.
     pub backpressure_stall_ns: u64,
-    /// Distinct clients seen by the session table.
-    pub clients: u64,
 }
 
 impl ServiceStats {
@@ -169,17 +166,12 @@ struct Inner {
     work_cv: Condvar,
     metrics: Arc<PlfsMetrics>,
     cfg: ServiceConfig,
-    /// Mutex-sharded session table: client id → (ops, bytes). Sharded
-    /// so unrelated clients never contend on registration.
-    sessions: Vec<Mutex<HashMap<u32, (u64, u64)>>>,
     enqueued_ops: Counter,
     enqueued_bytes: Counter,
     stall_ns: Counter,
     barriers: Counter,
     fanin: Histogram,
 }
-
-const SESSION_TABLE_SHARDS: usize = 16;
 
 impl Inner {
     fn kick(&self) {
@@ -322,7 +314,6 @@ impl IngestService {
             work: Mutex::new(WorkState::default()),
             work_cv: Condvar::new(),
             metrics,
-            sessions: (0..SESSION_TABLE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             enqueued_ops: reg.counter("svc.enqueued_ops"),
             enqueued_bytes: reg.counter("svc.enqueued_bytes"),
             stall_ns: reg.counter("svc.queue.stall_ns"),
@@ -390,12 +381,6 @@ impl IngestService {
         shard.depth_bytes.set(bytes as i64);
         inner.enqueued_ops.inc();
         inner.enqueued_bytes.add(data.len() as u64);
-        {
-            let mut table = inner.sessions[client as usize % SESSION_TABLE_SHARDS].lock().unwrap();
-            let entry = table.entry(client).or_insert((0, 0));
-            entry.0 += 1;
-            entry.1 += data.len() as u64;
-        }
         if ready {
             inner.kick();
         }
@@ -430,15 +415,6 @@ impl IngestService {
         res
     }
 
-    /// Per-client `(ops, bytes)` from the session table.
-    pub fn client_stats(&self, client: u32) -> Option<(u64, u64)> {
-        self.inner.sessions[client as usize % SESSION_TABLE_SHARDS]
-            .lock()
-            .unwrap()
-            .get(&client)
-            .copied()
-    }
-
     /// Cumulative counters so far.
     pub fn stats(&self) -> ServiceStats {
         let inner = &self.inner;
@@ -457,7 +433,6 @@ impl IngestService {
             group_commits: commits,
             backpressure_stalls: stalls,
             backpressure_stall_ns: inner.stall_ns.get(),
-            clients: inner.sessions.iter().map(|m| m.lock().unwrap().len() as u64).sum(),
         }
     }
 
@@ -530,7 +505,6 @@ mod tests {
         let stats = svc.close().unwrap();
         assert_eq!(stats.enqueued_ops, 64);
         assert_eq!(stats.committed_ops, 64);
-        assert_eq!(stats.clients, 64);
         assert!(stats.group_commits >= 1);
         let data = fs.open_reader("/ckpt").unwrap().read_all().unwrap();
         assert_eq!(data.len(), 64 * 512);

@@ -262,10 +262,6 @@ impl Writer {
         if res.is_err() {
             self.metrics.write_errors.inc();
         }
-        if let Some(m) = &self.metrics.meters {
-            m.write_rate.mark(data.len() as u64);
-            m.write_lat.observe(dt);
-        }
         self.metrics.flight.maybe_sample();
         if let Some(rec) = &self.metrics.recorder {
             let result = match &res {

@@ -30,7 +30,6 @@ pub mod prom;
 pub mod recorder;
 pub mod slo;
 pub mod tail;
-pub mod timeseries;
 pub mod trace;
 
 use std::collections::BTreeMap;
@@ -274,8 +273,7 @@ impl HistSnapshot {
 
     /// Approximate quantile by linear interpolation inside the log2
     /// bucket holding rank `q * count` — the shared estimator behind
-    /// both cumulative histograms and the windowed
-    /// [`timeseries::WindowHistogram`].
+    /// cumulative histograms and flight-recorder frame deltas.
     ///
     /// Semantics (exact at bucket boundaries):
     /// * an empty snapshot returns 0,

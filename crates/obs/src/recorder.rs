@@ -157,6 +157,11 @@ impl Recorder {
         self.shared.is_some()
     }
 
+    /// The clock frames are stamped from; `None` when disabled.
+    pub fn clock(&self) -> Option<&Clock> {
+        self.shared.as_ref().map(|s| &s.clock)
+    }
+
     /// Sample if the cadence deadline has passed. The probe hot paths
     /// carry: a branch when disabled, a clock read and an atomic
     /// compare when not yet due. Returns whether a frame was captured.

@@ -251,6 +251,7 @@ fn small_swarm_cell_commits_everything_with_amortized_fsyncs() {
     });
     let cell = pdsi_bench::ingest_cell(2, &swarm);
     assert!(cell.contents_ok, "read-back diverged from the plan");
+    assert_eq!(cell.clients, 64);
     assert_eq!(cell.ops, swarm.total_ops());
     assert_eq!(cell.committed_ops, cell.ops, "accepted writes never committed");
     assert!(cell.group_commits >= 1);

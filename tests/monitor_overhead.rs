@@ -26,8 +26,8 @@ const RECORD: usize = 16 * 1024;
 
 /// One checkpoint write (strided N-1) and one full read-back through a
 /// PLFS instance with the given flight recorder attached.
-fn workload(flight: Recorder, clock: Option<Clock>) -> std::time::Duration {
-    let cfg = PlfsConfig { flight, clock, ..Default::default() };
+fn workload(flight: Recorder) -> std::time::Duration {
+    let cfg = PlfsConfig { flight, ..Default::default() };
     let fs = Plfs::new(Arc::new(MemBackend::new()) as Arc<dyn Backend>, cfg);
     let buf = vec![0x5Au8; RECORD];
     let t0 = Instant::now();
@@ -78,7 +78,7 @@ fn disabled_flight_recorder_costs_under_five_percent_of_workload() {
     // Untraced workload wall time, best of three runs.
     let mut wall = std::time::Duration::MAX;
     for _ in 0..3 {
-        wall = wall.min(workload(Recorder::disabled(), None));
+        wall = wall.min(workload(Recorder::disabled()));
     }
 
     let off = Recorder::disabled();
@@ -104,7 +104,7 @@ fn disabled_flight_recorder_costs_under_five_percent_of_workload() {
 fn hundred_ms_cadence_recorder_stays_under_budget() {
     let mut wall = std::time::Duration::MAX;
     for _ in 0..3 {
-        wall = wall.min(workload(Recorder::disabled(), None));
+        wall = wall.min(workload(Recorder::disabled()));
     }
 
     // Not-due probe cost on an *enabled* recorder: a clock read plus a
@@ -162,15 +162,10 @@ fn live_recorder_captures_frames_from_the_hot_path() {
     // recorder wired through PlfsConfig, the write/read-path probes
     // alone must produce frames — no explicit sample_now anywhere.
     let reg = Registry::new();
-    let clock = Clock::wall();
-    let flight = Recorder::new(&reg, &clock, 250_000, 1024); // 250 us
-    let cfg = PlfsConfig {
-        metrics: reg.clone(),
-        clock: Some(clock.clone()),
-        flight: flight.clone(),
-        ..Default::default()
-    };
+    let flight = Recorder::new(&reg, &Clock::wall(), 250_000, 1024); // 250 us
+    let cfg = PlfsConfig { metrics: reg.clone(), flight: flight.clone(), ..Default::default() };
     let fs = Plfs::new(Arc::new(MemBackend::new()) as Arc<dyn Backend>, cfg);
+    assert!(fs.metrics().clock.is_wall(), "the instance clock is the recorder's");
     let buf = vec![0xC3u8; RECORD];
     for r in 0..RANKS {
         let mut w = fs.open_writer("/ckpt", r).unwrap();
