@@ -47,48 +47,50 @@ use std::sync::{Arc, Mutex};
 
 // ------------------------------------------------------------- SHA-256
 
-/// SHA-256 of `data`. In-tree (the workspace links no external crates);
-/// the test module pins the FIPS 180-4 vectors.
-pub fn sha256(data: &[u8]) -> [u8; 32] {
-    const K: [u32; 64] = [
-        0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
-        0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
-        0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
-        0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
-        0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
-        0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-        0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
-        0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-        0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
-        0xc67178f2,
-    ];
-    let mut h: [u32; 8] = [
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-        0x5be0cd19,
-    ];
-    let bitlen = (data.len() as u64).wrapping_mul(8);
-    let mut msg = Vec::with_capacity(data.len() + 72);
-    msg.extend_from_slice(data);
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+/// The SHA-256 round constants (FIPS 180-4 §4.2.2), shared by the
+/// portable step and the hardware step in `accel`.
+pub(crate) const SHA256_K: [u32; 64] = [
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
+    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
+    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
+    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
+    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+];
+
+/// One SHA-256 compression step: fold whole 64-byte blocks into the
+/// state.
+type Compress = fn(&mut [u32; 8], &[[u8; 64]]);
+
+/// The hardware step where the CPU has the SHA extensions, else the
+/// portable one.
+fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    if !crate::accel::sha256_compress(state, blocks) {
+        compress_portable(state, blocks);
     }
-    msg.extend_from_slice(&bitlen.to_be_bytes());
-    for block in msg.chunks_exact(64) {
+}
+
+/// The portable compression step, and the reference the hardware step
+/// is tested against.
+fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
-        for (i, word) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(word.try_into().unwrap());
+        for (i, word) in block.as_chunks::<4>().0.iter().enumerate() {
+            w[i] = u32::from_be_bytes(*word);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
             let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
             w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
-            let t1 = hh.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+            let t1 =
+                hh.wrapping_add(s1).wrapping_add(ch).wrapping_add(SHA256_K[i]).wrapping_add(w[i]);
             let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
             let maj = (a & b) ^ (a & c) ^ (b & c);
             let t2 = s0.wrapping_add(maj);
@@ -101,15 +103,83 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        for (slot, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+        for (slot, v) in state.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
             *slot = slot.wrapping_add(v);
         }
     }
-    let mut out = [0u8; 32];
-    for (i, v) in h.iter().enumerate() {
-        out[4 * i..4 * i + 4].copy_from_slice(&v.to_be_bytes());
+}
+
+/// The streaming SHA-256 driver over one compression step. Whole
+/// blocks are compressed straight from the caller's slice; only a
+/// partial block waits in `tail`.
+struct Sha256 {
+    state: [u32; 8],
+    tail: [u8; 64],
+    tail_len: usize,
+    total: u64,
+    compress: Compress,
+}
+
+impl Sha256 {
+    fn new(compress: Compress) -> Self {
+        Sha256 {
+            state: [
+                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+                0x5be0cd19,
+            ],
+            tail: [0; 64],
+            tail_len: 0,
+            total: 0,
+            compress,
+        }
     }
-    out
+
+    fn update(&mut self, mut data: &[u8]) {
+        self.total = self.total.wrapping_add(data.len() as u64);
+        if self.tail_len > 0 {
+            let take = data.len().min(64 - self.tail_len);
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&data[..take]);
+            self.tail_len += take;
+            data = &data[take..];
+            if self.tail_len < 64 {
+                return;
+            }
+            (self.compress)(&mut self.state, &[self.tail]);
+            self.tail_len = 0;
+        }
+        let (blocks, rest) = data.as_chunks::<64>();
+        (self.compress)(&mut self.state, blocks);
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
+    }
+
+    /// Pad (0x80, zeros, the bit length) into one or two blocks on the
+    /// stack and compress them.
+    fn finish(mut self) -> [u8; 32] {
+        let mut pad = [0u8; 128];
+        pad[..self.tail_len].copy_from_slice(&self.tail[..self.tail_len]);
+        pad[self.tail_len] = 0x80;
+        let end = if self.tail_len < 56 { 64 } else { 128 };
+        pad[end - 8..end].copy_from_slice(&self.total.wrapping_mul(8).to_be_bytes());
+        (self.compress)(&mut self.state, pad[..end].as_chunks::<64>().0);
+        let mut out = [0u8; 32];
+        for (o, v) in out.as_chunks_mut::<4>().0.iter_mut().zip(self.state) {
+            *o = v.to_be_bytes();
+        }
+        out
+    }
+}
+
+/// SHA-256 of `data` (FIPS 180-4; the test module pins its vectors).
+/// In-tree, std only: on `x86_64` CPUs with the SHA extensions the
+/// compression rounds run on them, elsewhere on portable code, and the
+/// two give the same digest bit for bit. The input is never copied;
+/// only the last partial block and the padding pass through a stack
+/// buffer.
+pub fn sha256(data: &[u8]) -> [u8; 32] {
+    let mut h = Sha256::new(compress);
+    h.update(data);
+    h.finish()
 }
 
 fn hex(digest: &[u8; 32]) -> String {
@@ -161,22 +231,37 @@ fn gear_table(seed: u64) -> Box<[u64; 256]> {
 /// the gear state `h = (h << 1) + table[byte]` forgets bytes more than
 /// 64 positions back, so a boundary depends only on its local window —
 /// the property that re-aligns chunks after an insertion.
+///
+/// The same property lets each chunk skip ahead: no cut can come before
+/// `min` bytes, so hashing starts 64 bytes before that point and still
+/// reaches it with exactly the state a byte-by-byte walk from the chunk
+/// start would have. A chunk is at least 1 byte long even when `max` is
+/// 0, and `min > max` means every chunk is cut at `max`.
 pub fn split<'d>(data: &'d [u8], params: &ChunkParams, table: &[u64; 256]) -> Vec<&'d [u8]> {
     let mask: u64 = (1u64 << params.mask_bits) - 1;
+    let max = params.max.max(1);
+    let min = params.min.clamp(1, max);
     let mut out = Vec::new();
-    let mut start = 0usize;
-    let mut h = 0u64;
-    for (i, &b) in data.iter().enumerate() {
-        h = (h << 1).wrapping_add(table[b as usize]);
-        let len = i - start + 1;
-        if (len >= params.min && h & mask == 0) || len >= params.max {
-            out.push(&data[start..=i]);
-            start = i + 1;
-            h = 0;
+    let mut rest = data;
+    while !rest.is_empty() {
+        let window = &rest[..rest.len().min(max)];
+        let mut len = window.len();
+        if len >= min {
+            let mut h = 0u64;
+            for &b in &window[min.saturating_sub(64)..min - 1] {
+                h = (h << 1).wrapping_add(table[b as usize]);
+            }
+            for (i, &b) in window.iter().enumerate().skip(min - 1) {
+                h = (h << 1).wrapping_add(table[b as usize]);
+                if h & mask == 0 {
+                    len = i + 1;
+                    break;
+                }
+            }
         }
-    }
-    if start < data.len() {
-        out.push(&data[start..]);
+        let (chunk, tail) = rest.split_at(len);
+        out.push(chunk);
+        rest = tail;
     }
     out
 }
@@ -740,6 +825,19 @@ impl crate::backend::Layer for ChunkBackend {
                 break;
             }
             let chunk = self.load_chunk(&digest)?;
+            // The digest vouches for the blob, not for the record's
+            // length field: a rotted length would index out of the
+            // chunk or serve its bytes at the wrong offsets.
+            if chunk.len() as u64 != clen {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "chunk {}: manifest record says {clen} B, blob holds {} B",
+                        hex(&digest),
+                        chunk.len()
+                    ),
+                ));
+            }
             let skip = offset.saturating_sub(cstart) as usize;
             let want = buf.len() - filled;
             let take = (chunk.len() - skip).min(want);
@@ -814,6 +912,60 @@ mod tests {
         }
     }
 
+    fn sha_ni() -> bool {
+        let found = crate::accel::sha256_compress(&mut [0; 8], &[]);
+        if !found {
+            eprintln!("CPU lacks the SHA extensions: hardware step not compared");
+        }
+        found
+    }
+
+    fn hardware(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        assert!(crate::accel::sha256_compress(state, blocks), "SHA extensions vanished");
+    }
+
+    /// SHA-256 of the concatenated `parts`, one `update` each.
+    fn digest_with(step: Compress, parts: &[&[u8]]) -> [u8; 32] {
+        let mut h = Sha256::new(step);
+        for part in parts {
+            h.update(part);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn sha256_hardware_step_matches_portable() {
+        if !sha_ni() {
+            return;
+        }
+        let data = patterned(16 + 300, 0x5A);
+        for start in 0..16 {
+            for len in 0..=300 {
+                let piece = &data[start..start + len];
+                assert_eq!(
+                    digest_with(hardware, &[piece]),
+                    digest_with(compress_portable, &[piece]),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+        // The padding edges: the length field fits after the 0x80 byte
+        // up to 55 bytes into a block, and needs a second block from 56.
+        for len in [55, 56, 63, 64, 65, 119, 120] {
+            let piece = &data[..len];
+            assert_eq!(digest_with(hardware, &[piece]), sha256(piece), "len {len}");
+            assert_eq!(digest_with(compress_portable, &[piece]), sha256(piece), "len {len}");
+        }
+        let whole = digest_with(compress_portable, &[&data[..300]]);
+        for at in 0..=300 {
+            let (a, b) = data[..300].split_at(at);
+            assert_eq!(digest_with(hardware, &[a, b]), whole, "split at {at}");
+            assert_eq!(digest_with(compress_portable, &[a, b]), whole, "split at {at}");
+        }
+        let big = patterned(1 << 20, 0xB16);
+        assert_eq!(digest_with(hardware, &[&big]), digest_with(compress_portable, &[&big]));
+    }
+
     // ------------------------------------------------------------- rle
 
     #[test]
@@ -865,6 +1017,72 @@ mod tests {
                 5350, 4402
             ]
         );
+    }
+
+    /// The byte-by-byte chunker that hashed every byte from each chunk
+    /// start: the reference the skip-to-min `split` must match.
+    fn split_bytewise<'d>(
+        data: &'d [u8],
+        params: &ChunkParams,
+        table: &[u64; 256],
+    ) -> Vec<&'d [u8]> {
+        let mask: u64 = (1u64 << params.mask_bits) - 1;
+        let mut out = Vec::new();
+        let mut start = 0usize;
+        let mut h = 0u64;
+        for (i, &b) in data.iter().enumerate() {
+            h = (h << 1).wrapping_add(table[b as usize]);
+            let len = i - start + 1;
+            if (len >= params.min && h & mask == 0) || len >= params.max {
+                out.push(&data[start..=i]);
+                start = i + 1;
+                h = 0;
+            }
+        }
+        if start < data.len() {
+            out.push(&data[start..]);
+        }
+        out
+    }
+
+    #[test]
+    fn split_matches_the_bytewise_chunker() {
+        let p = |min, max, mask_bits| ChunkParams { min, max, mask_bits, seed: 0xC0FFEE };
+        let cases = [
+            ChunkParams::default(),
+            small_params(),
+            p(0, 512, 5),
+            p(1, 512, 5),
+            p(10, 512, 3),
+            p(63, 512, 5),
+            p(64, 512, 5),
+            p(65, 512, 5),
+            p(100, 100, 5),
+            p(300, 200, 5),
+            p(600, 0, 5),
+            p(0, 0, 5),
+            p(0, 1, 5),
+            p(2, 3, 0),
+            p(70, 4096, 0),
+            p(200, 4096, 1),
+            p(2048, 65536, 16),
+        ];
+        for params in cases {
+            let t = gear_table(params.seed);
+            for (len, seed) in [(0, 1), (1, 2), (63, 3), (64, 4), (65, 5), (5_000, 6), (70_000, 7)]
+            {
+                let mut data = patterned(len, seed);
+                // A long run as well: every window of it hashes alike.
+                data.extend(std::iter::repeat_n(0x2A, len / 3));
+                let lens = |v: Vec<&[u8]>| v.iter().map(|c| c.len()).collect::<Vec<_>>();
+                assert_eq!(
+                    lens(split(&data, &params, &t)),
+                    lens(split_bytewise(&data, &params, &t)),
+                    "{params:?}, {} bytes",
+                    data.len()
+                );
+            }
+        }
     }
 
     #[test]
@@ -974,6 +1192,29 @@ mod tests {
         assert_eq!(&whole[..data.len()], &data[..]);
         assert_eq!(&whole[data.len()..], &more[..]);
         assert_eq!(cb.inner().len("/f").unwrap() as usize % RECORD_BYTES, 0);
+    }
+
+    /// A manifest record whose length field rots while its digest stays
+    /// valid must fail the read with a typed error naming the digest,
+    /// whether the field grew (the reader used to index past the chunk
+    /// and panic) or shrank (it used to serve bytes at wrong offsets).
+    #[test]
+    fn rotted_manifest_length_is_invalid_data() {
+        let data = patterned(8_000, 13);
+        for delta in [4096i64, -1] {
+            let cb = mem_chunked(small_params());
+            cb.append("/f", &data).unwrap();
+            let mut manifest = cb.inner().read_all("/f").unwrap();
+            let len = u32::from_le_bytes(manifest[..4].try_into().unwrap());
+            let digest = hex(&manifest[4..RECORD_BYTES].try_into().unwrap());
+            manifest[..4].copy_from_slice(&((len as i64 + delta) as u32).to_le_bytes());
+            cb.inner().remove("/f").unwrap();
+            cb.inner().append("/f", &manifest).unwrap();
+            let offset = if delta > 0 { 3000 } else { 0 };
+            let err = cb.read_at("/f", offset, &mut [0u8; 64]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "delta {delta}");
+            assert!(err.to_string().contains(&digest), "delta {delta}: {err}");
+        }
     }
 
     #[test]

@@ -53,7 +53,20 @@
 //! let reader = fs.open_reader("/ckpt").unwrap();
 //! assert_eq!(reader.read_all().unwrap(), b"AAAABBBBCCCC");
 //! ```
+//!
+//! ## Unsafe code
+//!
+//! The crate denies `unsafe` everywhere except one private module,
+//! `accel`: the `std::arch` steps of SHA-256 and CRC32, each entered
+//! only after a run-time CPU feature check, with a portable twin for
+//! every other CPU. Every `unsafe` block there carries a `// SAFETY:`
+//! comment, which clippy enforces.
 
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
+#[allow(unsafe_code)]
+mod accel;
 pub mod backend;
 pub mod canonical;
 pub mod checksum;
