@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use diskmodel::{profiles, BlockDevice, DevOp};
 use pfs::ClusterConfig;
-use plfs::simadapter::{run_direct, run_plfs, PlfsSimOptions};
+use plfs::simadapter::{run_direct, run_plfs};
 use simkit::units::{KIB, MIB};
 use simkit::Rng;
 use workloads::AppProfile;
@@ -82,12 +82,11 @@ fn main() {
 
     // fig8: PLFS vs direct, plus the real middleware write path.
     let flash = AppProfile::by_name("FLASH-IO").unwrap().pattern(64);
-    let opt = PlfsSimOptions::default();
     bench(f, "fig8_direct_n1_sim", 3, || {
         run_direct(ClusterConfig::lustre_like(8, MIB), black_box(&flash))
     });
     bench(f, "fig8_plfs_sim", 3, || {
-        run_plfs(ClusterConfig::lustre_like(8, MIB), black_box(&flash), &opt)
+        run_plfs(ClusterConfig::lustre_like(8, MIB), black_box(&flash))
     });
     bench(f, "plfs_write_path_4k_records", 5, || {
         use plfs::backend::{Backend, MemBackend};

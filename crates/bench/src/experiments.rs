@@ -14,7 +14,7 @@ use miniio::{optimization_ladder, FormattedWorkload};
 use obs::Registry;
 use pfs::fsstats::{survey_all_sites, Survey};
 use pfs::ClusterConfig;
-use plfs::simadapter::{compare, PlfsSimOptions};
+use plfs::simadapter::compare;
 use reliability::{
     fit_rate_vs_chips, lanl_like_fleet, process_pairs_utilization, CheckpointModel, DiskGrowth,
     ProjectionConfig,
@@ -309,7 +309,6 @@ pub fn fig8_plfs_report(reg: &Registry) -> String {
     let flash = AppProfile::by_name("FLASH-IO").unwrap();
     let ranks = 256;
     let pattern = flash.pattern(ranks);
-    let opt = PlfsSimOptions::default();
     let _ = writeln!(
         out,
         "FLASH-IO profile, {ranks} ranks, {} per rank:",
@@ -326,7 +325,7 @@ pub fn fig8_plfs_report(reg: &Registry) -> String {
         ("GPFS-like", ClusterConfig::gpfs_like(16, MIB)),
     ];
     for (name, cfg) in cases {
-        let (d, p, s) = compare(cfg, &pattern, &opt);
+        let (d, p, s) = compare(cfg, &pattern);
         d.export_metrics(reg, &[("fs", name), ("mode", "direct")], false);
         p.export_metrics(reg, &[("fs", name), ("mode", "plfs")], false);
         gauge(reg, "plfs.sim.speedup_milli", &[("fs", name)], milli(s));
@@ -342,7 +341,7 @@ pub fn fig8_plfs_report(reg: &Registry) -> String {
     let _ = writeln!(out, "\nLustre-like rank scaling (write bandwidth, MB/s):");
     let _ = writeln!(out, "{:>7} {:>12} {:>12} {:>9}", "ranks", "direct", "PLFS", "speedup");
     for &r in &[16u32, 64, 256, 512] {
-        let (d, p, s) = compare(ClusterConfig::lustre_like(16, MIB), &flash.pattern(r), &opt);
+        let (d, p, s) = compare(ClusterConfig::lustre_like(16, MIB), &flash.pattern(r));
         let r_s = r.to_string();
         let labels = [("ranks", r_s.as_str())];
         gauge(reg, "plfs.sim.direct_bps", &labels, d.write_bandwidth());
@@ -836,7 +835,6 @@ pub fn speedup_table_report(reg: &Registry) -> String {
     let mut out = String::new();
     header(&mut out, "PLFS per-application speedups (report headline claims)");
     let ranks = 512;
-    let opt = PlfsSimOptions::default();
     let _ = writeln!(
         out,
         "{:<10} {:<12} {:>12} {:>12} {:>9}  paper claim",
@@ -858,7 +856,7 @@ pub fn speedup_table_report(reg: &Registry) -> String {
             IoShape::NtoN => unreachable!(),
         };
         let cfg = ClusterConfig::lustre_like(16, MIB);
-        let (d, p, s) = compare(cfg, &app.pattern(ranks), &opt);
+        let (d, p, s) = compare(cfg, &app.pattern(ranks));
         let labels = [("app", app.name)];
         gauge(reg, "plfs.sim.direct_bps", &labels, d.write_bandwidth());
         gauge(reg, "plfs.sim.plfs_bps", &labels, p.write_bandwidth());
@@ -1485,8 +1483,7 @@ pub fn readscale_experiment(reg: &Registry) -> Outcome {
     for &ranks in &[32u32, 128] {
         let pattern = strided_n1_pattern(ranks, 64, 47 * 1024);
         let cfg = ClusterConfig::lustre_like(8, MIB);
-        let (direct, plfs_rep, speedup) =
-            compare_restart(cfg, &pattern, &PlfsSimOptions::default());
+        let (direct, plfs_rep, speedup) = compare_restart(cfg, &pattern);
         let ranks_s = ranks.to_string();
         let labels = [("ranks", ranks_s.as_str()), ("mode", "restart")];
         gauge(reg, "readscale.sim_direct_read_bw", &labels, direct.read_bandwidth());

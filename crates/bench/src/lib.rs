@@ -193,18 +193,14 @@ pub fn headline_numbers() -> obs::json::Value {
     use netsim::{run_incast, IncastConfig, RtoPolicy};
     use pfs::sim::{Cluster, Op};
     use pfs::ClusterConfig;
-    use plfs::simadapter::{compare, PlfsSimOptions};
+    use plfs::simadapter::compare;
     use simkit::units::MIB;
     use workloads::AppProfile;
 
     // The N-1 vs N-N speedup factor: PLFS converts FLASH-IO's strided
     // N-1 file into N sequential logs (256 ranks, Lustre-like; fig8).
     let flash = AppProfile::by_name("FLASH-IO").unwrap();
-    let (_, _, plfs_speedup) = compare(
-        ClusterConfig::lustre_like(16, MIB),
-        &flash.pattern(256),
-        &PlfsSimOptions::default(),
-    );
+    let (_, _, plfs_speedup) = compare(ClusterConfig::lustre_like(16, MIB), &flash.pattern(256));
 
     // Raw N-N over N-1 on stripe-ALIGNED 1 MiB records (the faults
     // workload, healthy cluster). Alignment rescues direct N-1 (~1.0x),

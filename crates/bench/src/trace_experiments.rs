@@ -72,7 +72,7 @@ fn trace_plfs_n1() -> TraceRun {
     let plfs_sink = TraceSink::bounded(1 << 18);
     let mut cfg = ClusterConfig::lustre_like(8, MIB);
     cfg.trace = plfs_sink.clone();
-    let plfs_rep = plfs::run_plfs(cfg, &pattern, &plfs::PlfsSimOptions::default());
+    let plfs_rep = plfs::run_plfs(cfg, &pattern);
     let mut plfs_spans = plfs_sink.snapshot();
     let plfs_attr = trace::critical_path(&plfs_spans);
 

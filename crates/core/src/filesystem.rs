@@ -17,7 +17,7 @@ use crate::record::{err_token, OpLogRecorder};
 use crate::retry::{append_at_reliable, RetriedBackend, RetryPolicy};
 use crate::write::{Writer, WriterConfig};
 use obs::recorder::Recorder;
-use obs::trace::TraceSink;
+use obs::trace::{TraceCtx, TraceSink};
 use obs::Registry;
 use std::io;
 use std::sync::Arc;
@@ -302,22 +302,14 @@ impl Plfs {
         let size = reader.size();
         let mut buf = vec![0u8; chunk];
         let mut pos = 0u64;
-        let mut tail_uncertain = false;
+        let (backend, retry, untraced) =
+            (self.backend.as_ref(), &self.cfg.retry, TraceCtx::disabled());
         while pos < size {
             let n = reader.read_at(pos, &mut buf)?;
             if n == 0 {
                 break;
             }
-            let res = append_at_reliable(
-                self.backend.as_ref(),
-                &self.cfg.retry,
-                dest,
-                pos,
-                &buf[..n],
-                tail_uncertain,
-            );
-            tail_uncertain = res.is_err();
-            res?;
+            append_at_reliable(backend, retry, dest, pos, &buf[..n], false, &untraced, "", 0)?;
             pos += n as u64;
         }
         Ok(pos)

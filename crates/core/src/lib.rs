@@ -110,6 +110,5 @@ pub use retry::{is_integrity, IntegrityError, RetryObs, RetryPolicy};
 pub use service::{IngestService, ServiceConfig, ServiceStats};
 pub use simadapter::{
     compare, compare_restart, run_direct, run_direct_restart, run_plfs, run_plfs_restart,
-    PlfsSimOptions,
 };
 pub use write::{Writer, WriterConfig, WriterStats};

@@ -360,33 +360,13 @@ pub fn len_or_zero(backend: &dyn Backend, policy: &RetryPolicy, path: &str) -> i
 /// began. Pass `verify_first = true` when a *previous* call for this
 /// same buffer failed: the file may already hold a prefix (or all) of
 /// `data`, and the call resumes instead of duplicating.
-pub fn append_at_reliable(
-    backend: &dyn Backend,
-    policy: &RetryPolicy,
-    path: &str,
-    expected_base: u64,
-    data: &[u8],
-    verify_first: bool,
-) -> io::Result<()> {
-    append_at_reliable_traced(
-        backend,
-        policy,
-        path,
-        expected_base,
-        data,
-        verify_first,
-        &TraceCtx::disabled(),
-        "",
-        0,
-    )
-}
-
-/// [`append_at_reliable`] recording each backend attempt (and every
-/// torn-append resume) as a child span of `parent` on `track`. Retry
-/// spans are how checkpoints that *succeeded but crawled* show their
-/// masked-fault tax in a trace.
+///
+/// Each retried backend attempt (and every torn-append resume) is
+/// recorded as a child span of `parent` on `track` when `trace` is
+/// enabled. Retry spans are how checkpoints that *succeeded but
+/// crawled* show their masked-fault tax in a trace.
 #[allow(clippy::too_many_arguments)]
-pub fn append_at_reliable_traced(
+pub fn append_at_reliable(
     backend: &dyn Backend,
     policy: &RetryPolicy,
     path: &str,
@@ -700,10 +680,11 @@ mod tests {
         );
         let policy = RetryPolicy { max_retries: 64, ..RetryPolicy::fast_test() };
         let payload: Vec<u8> = (0..=255u8).collect();
-        append_at_reliable(&b, &policy, "/f", 0, &payload, false).unwrap();
+        let off = TraceCtx::disabled();
+        append_at_reliable(&b, &policy, "/f", 0, &payload, false, &off, "", 0).unwrap();
         assert_eq!(b.inner().read_all("/f").unwrap(), payload);
         // A second logical append continues cleanly at the new base.
-        append_at_reliable(&b, &policy, "/f", 256, b"tail", false).unwrap();
+        append_at_reliable(&b, &policy, "/f", 256, b"tail", false, &off, "", 0).unwrap();
         assert_eq!(b.inner().len("/f").unwrap(), 260);
         assert!(b.stats().injected_torn > 0);
     }
@@ -714,10 +695,11 @@ mod tests {
         // A previous failed flush left 3 of 8 bytes on the store.
         b.append("/f", b"abc").unwrap();
         let policy = RetryPolicy::none();
-        append_at_reliable(&b, &policy, "/f", 0, b"abcdefgh", true).unwrap();
+        let off = TraceCtx::disabled();
+        append_at_reliable(&b, &policy, "/f", 0, b"abcdefgh", true, &off, "", 0).unwrap();
         assert_eq!(b.read_all("/f").unwrap(), b"abcdefgh");
         // And is a no-op when everything already landed.
-        append_at_reliable(&b, &policy, "/f", 0, b"abcdefgh", true).unwrap();
+        append_at_reliable(&b, &policy, "/f", 0, b"abcdefgh", true, &off, "", 0).unwrap();
         assert_eq!(b.read_all("/f").unwrap(), b"abcdefgh");
     }
 
@@ -725,7 +707,8 @@ mod tests {
     fn shrunken_file_is_a_fatal_inconsistency() {
         let b = MemBackend::new();
         b.append("/f", b"ab").unwrap();
-        let err = append_at_reliable(&b, &RetryPolicy::none(), "/f", 10, b"zz", true).unwrap_err();
+        let (policy, off) = (RetryPolicy::none(), TraceCtx::disabled());
+        let err = append_at_reliable(&b, &policy, "/f", 10, b"zz", true, &off, "", 0).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -759,6 +742,7 @@ mod tests {
         // Torn-only plans: every absorbed failure advanced the store, so
         // each one must count as torn_recovered, never masked_transient.
         let payload: Vec<u8> = (0..200u8).collect();
+        let off = TraceCtx::disabled();
         let mut torn_seen = 0;
         for seed in 0..16u64 {
             let reg = Registry::new();
@@ -767,7 +751,7 @@ mod tests {
                 FaultPlan { torn_append_rate: 0.6, ..FaultPlan::none(seed) },
             );
             let policy = RetryPolicy { max_retries: 64, ..RetryPolicy::fast_test() }.bound_to(&reg);
-            append_at_reliable(&b, &policy, "/f", 0, &payload, false).unwrap();
+            append_at_reliable(&b, &policy, "/f", 0, &payload, false, &off, "", 0).unwrap();
             assert_eq!(b.inner().read_all("/f").unwrap(), payload);
             let st = b.stats();
             torn_seen += st.injected_torn;
@@ -786,7 +770,7 @@ mod tests {
                 FaultPlan { transient_error_rate: 0.4, ..FaultPlan::none(seed) },
             );
             let policy = RetryPolicy::fast_test().bound_to(&reg);
-            append_at_reliable(&b, &policy, "/g", 0, &payload, false).unwrap();
+            append_at_reliable(&b, &policy, "/g", 0, &payload, false, &off, "", 0).unwrap();
             let st = b.stats();
             transient_seen += st.injected_transient;
             assert_eq!(reg.value("retry.masked_transient"), Some(st.injected_transient));

@@ -14,6 +14,7 @@
 //!   metadata creates — everything PLFS actually does, including its
 //!   overheads.
 
+use crate::filesystem::PlfsConfig;
 use obs::trace::Phase;
 use pfs::{Cluster, ClusterConfig, Op, PhaseReport};
 
@@ -25,32 +26,6 @@ const SHARED_FILE: u64 = 0;
 
 /// Byte cost of one raw index record on the wire (see `index.rs`).
 const INDEX_RECORD: u64 = crate::index::RAW_RECORD_BYTES as u64 + 1;
-
-/// Knobs for the PLFS-mode replay.
-#[derive(Debug, Clone)]
-pub struct PlfsSimOptions {
-    /// Writers buffer data and emit appends of at most this size
-    /// (mirrors `WriterConfig::data_buffer`; 0 = one append per write).
-    pub data_buffer: u64,
-    /// Index entries buffered per index append.
-    pub index_flush_every: u64,
-    /// Pattern-compress the index (shrinks index appends for strided
-    /// patterns).
-    pub compress_index: bool,
-    /// hostdir spread (container subdirectory creates).
-    pub hostdirs: u32,
-}
-
-impl Default for PlfsSimOptions {
-    fn default() -> Self {
-        PlfsSimOptions {
-            data_buffer: 1 << 20,
-            index_flush_every: 4096,
-            compress_index: true,
-            hostdirs: 32,
-        }
-    }
-}
 
 /// Replay `pattern` as the application would: one shared file.
 pub fn run_direct(cluster_cfg: ClusterConfig, pattern: &Pattern) -> PhaseReport {
@@ -68,21 +43,21 @@ pub fn run_direct(cluster_cfg: ClusterConfig, pattern: &Pattern) -> PhaseReport 
 }
 
 /// Replay `pattern` as PLFS transforms it: per-rank logs + index
-/// droppings + container metadata.
+/// droppings + container metadata, buffered and spread over hostdirs
+/// as a default [`PlfsConfig`] does it.
 ///
 /// Container droppings are created with stripe count 1 (the PLFS
 /// deployment default): each rank's log lives wholly on one object
 /// server, assigned round-robin by file id, so every server sees a few
 /// purely sequential streams instead of slivers of every file.
-pub fn run_plfs(
-    mut cluster_cfg: ClusterConfig,
-    pattern: &Pattern,
-    opt: &PlfsSimOptions,
-) -> PhaseReport {
+pub fn run_plfs(mut cluster_cfg: ClusterConfig, pattern: &Pattern) -> PhaseReport {
     // Stripe count 1: a stripe unit larger than any dropping keeps each
     // log file wholly on the server its id round-robins to.
     cluster_cfg.layout =
         pfs::Layout::new(1 << 30, pfs::Placement::RoundRobin, cluster_cfg.layout.servers);
+    let PlfsConfig { hostdirs, writer, .. } = PlfsConfig::default();
+    let (data_buffer, index_flush_every) =
+        (writer.data_buffer as u64, writer.index_flush_every as u64);
     let mut streams: Vec<Vec<Op>> = Vec::with_capacity(pattern.len());
     // PLFS action naming each op, parallel to `streams` — used to graft
     // layer-level wrapper spans over the cluster-level trace.
@@ -97,7 +72,7 @@ pub fn run_plfs(
         // rank creates its two droppings. Hostdir creates are
         // directory ops charged at the MDS like creates.
         if rank == 0 {
-            for _ in 0..opt.hostdirs.min(8) {
+            for _ in 0..hostdirs.min(8) {
                 v.push(Op::Create(u64::MAX - 1)); // container subdirs
                 k.push("plfs.container_mkdir");
             }
@@ -116,18 +91,13 @@ pub fn run_plfs(
         for &(_, len) in ops {
             buffered += len;
             index_entries += 1;
-            if opt.data_buffer == 0 {
-                v.push(Op::Write { file: data_file, offset: cursor, len });
-                k.push("plfs.data_append");
-                cursor += len;
-                buffered = 0;
-            } else if buffered >= opt.data_buffer {
+            if buffered >= data_buffer {
                 v.push(Op::Write { file: data_file, offset: cursor, len: buffered });
                 k.push("plfs.data_append");
                 cursor += buffered;
                 buffered = 0;
             }
-            if index_entries >= opt.index_flush_every {
+            if index_entries >= index_flush_every {
                 index_appends += 1;
                 index_entries = 0;
             }
@@ -141,14 +111,9 @@ pub fn run_plfs(
         }
         // Index appends: tiny sequential writes to the index file.
         // Pattern compression collapses a whole strided run into a
-        // handful of records.
-        let entries_total = ops.len() as u64;
-        let index_bytes = if opt.compress_index {
-            // one pattern record (~49B) per flush, conservatively x4.
-            index_appends * 4 * INDEX_RECORD
-        } else {
-            entries_total * INDEX_RECORD
-        };
+        // handful of records: one pattern record (~49B) per flush,
+        // conservatively x4.
+        let index_bytes = index_appends * 4 * INDEX_RECORD;
         let mut ipos = 0u64;
         let per_append = (index_bytes / index_appends.max(1)).max(1);
         for _ in 0..index_appends.max(1) {
@@ -210,7 +175,6 @@ pub fn run_direct_restart(cluster_cfg: ClusterConfig, pattern: &Pattern) -> Phas
 pub fn run_plfs_restart(
     mut cluster_cfg: ClusterConfig,
     pattern: &Pattern,
-    opt: &PlfsSimOptions,
     coalesce_chunk: u64,
 ) -> PhaseReport {
     cluster_cfg.layout =
@@ -224,9 +188,7 @@ pub fn run_plfs_restart(
         let mut v = Vec::with_capacity((total / chunk) as usize + 3);
         v.push(Op::Open(data_file));
         // Open-time index fetch (sized as run_plfs wrote it).
-        let index_bytes =
-            if opt.compress_index { 4 * INDEX_RECORD } else { ops.len() as u64 * INDEX_RECORD };
-        v.push(Op::Read { file: index_file, offset: 0, len: index_bytes.max(1) });
+        v.push(Op::Read { file: index_file, offset: 0, len: 4 * INDEX_RECORD });
         // Coalesced data reads: the dropping is one contiguous run.
         let mut off = 0u64;
         while off < total {
@@ -245,23 +207,18 @@ pub fn run_plfs_restart(
 pub fn compare_restart(
     cluster_cfg: ClusterConfig,
     pattern: &Pattern,
-    opt: &PlfsSimOptions,
 ) -> (PhaseReport, PhaseReport, f64) {
     let direct = run_direct_restart(cluster_cfg.clone(), pattern);
-    let plfs = run_plfs_restart(cluster_cfg, pattern, opt, crate::read::READ_CHUNK as u64);
+    let plfs = run_plfs_restart(cluster_cfg, pattern, crate::read::READ_CHUNK as u64);
     let speedup = plfs.read_bandwidth() / direct.read_bandwidth();
     (direct, plfs, speedup)
 }
 
 /// Convenience: run both modes on fresh clusters and return
 /// `(direct, plfs, speedup)` for the durable write bandwidth.
-pub fn compare(
-    cluster_cfg: ClusterConfig,
-    pattern: &Pattern,
-    opt: &PlfsSimOptions,
-) -> (PhaseReport, PhaseReport, f64) {
+pub fn compare(cluster_cfg: ClusterConfig, pattern: &Pattern) -> (PhaseReport, PhaseReport, f64) {
     let direct = run_direct(cluster_cfg.clone(), pattern);
-    let plfs = run_plfs(cluster_cfg, pattern, opt);
+    let plfs = run_plfs(cluster_cfg, pattern);
     let speedup = plfs.write_bandwidth() / direct.write_bandwidth();
     (direct, plfs, speedup)
 }
@@ -282,7 +239,7 @@ mod tests {
             for &ranks in &[8u32, 32, 128, 512] {
                 let pattern = strided_n1_pattern(ranks, 64, 47 * KIB);
                 let cfg = ClusterConfig::lustre_like(servers, MIB);
-                let (d, p, s) = compare(cfg, &pattern, &PlfsSimOptions::default());
+                let (d, p, s) = compare(cfg, &pattern);
                 println!(
                     "servers={servers:3} ranks={ranks:4}: direct {:8.1} MB/s  plfs {:8.1} MB/s  speedup {s:6.2}x (revocations {})",
                     d.write_bandwidth() / 1e6,
@@ -299,7 +256,7 @@ mod tests {
         let mut cfg = ClusterConfig::lustre_like(4, MIB);
         cfg.trace = obs::trace::TraceSink::bounded(1 << 16);
         let sink = cfg.trace.clone();
-        run_plfs(cfg, &pattern, &PlfsSimOptions::default());
+        run_plfs(cfg, &pattern);
         let spans = sink.snapshot();
         obs::trace::validate(&spans).expect("grafted tree stays well-formed");
         assert!(spans.iter().any(|s| s.name == "plfs.rank"));
@@ -318,7 +275,7 @@ mod tests {
         // over 16 servers the simulated gap is ~8x.
         let pattern = strided_n1_pattern(512, 64, 47 * KIB);
         let cfg = ClusterConfig::lustre_like(16, MIB);
-        let (direct, plfs, speedup) = compare(cfg, &pattern, &PlfsSimOptions::default());
+        let (direct, plfs, speedup) = compare(cfg, &pattern);
         assert!(direct.bytes_written <= plfs.bytes_written + plfs.bytes_written / 2);
         assert!(
             speedup > 5.5,
@@ -335,7 +292,7 @@ mod tests {
         // for unaligned/strided, neutral for friendly patterns).
         let pattern = segmented_n1_pattern(16, 64 * MIB, 4 * MIB);
         let cfg = ClusterConfig::lustre_like(8, MIB);
-        let (_, _, speedup) = compare(cfg, &pattern, &PlfsSimOptions::default());
+        let (_, _, speedup) = compare(cfg, &pattern);
         assert!(
             speedup > 0.5 && speedup < 6.0,
             "segmented speedup should be modest, got {speedup:.2}x"
@@ -347,26 +304,13 @@ mod tests {
         let pattern = strided_n1_pattern(4, 16, 64 * KIB);
         let cfg = ClusterConfig::lustre_like(4, MIB);
         let app_bytes: u64 = pattern.iter().flatten().map(|&(_, l)| l).sum();
-        let rep = run_plfs(cfg, &pattern, &PlfsSimOptions::default());
+        let rep = run_plfs(cfg, &pattern);
         assert!(rep.bytes_written >= app_bytes, "lost data bytes");
         assert!(
             rep.bytes_written < app_bytes + app_bytes / 10,
             "index overhead should be tiny: {} vs {app_bytes}",
             rep.bytes_written
         );
-    }
-
-    #[test]
-    fn uncompressed_index_costs_more() {
-        let pattern = strided_n1_pattern(8, 256, 4 * KIB);
-        let cfg = ClusterConfig::lustre_like(4, MIB);
-        let comp = run_plfs(cfg.clone(), &pattern, &PlfsSimOptions::default());
-        let raw = run_plfs(
-            cfg,
-            &pattern,
-            &PlfsSimOptions { compress_index: false, ..Default::default() },
-        );
-        assert!(raw.bytes_written > comp.bytes_written);
     }
 
     #[test]
@@ -377,7 +321,7 @@ mod tests {
         let pattern = strided_n1_pattern(128, 64, 47 * KIB);
         let app_bytes: u64 = pattern.iter().flatten().map(|&(_, l)| l).sum();
         let cfg = ClusterConfig::lustre_like(8, MIB);
-        let (direct, plfs, speedup) = compare_restart(cfg, &pattern, &PlfsSimOptions::default());
+        let (direct, plfs, speedup) = compare_restart(cfg, &pattern);
         assert_eq!(direct.bytes_read, app_bytes);
         assert!(plfs.bytes_read >= app_bytes, "engine reads all data plus indices");
         assert!(
@@ -392,10 +336,8 @@ mod tests {
     #[test]
     fn plfs_wins_grow_with_scale() {
         let cfg = || ClusterConfig::lustre_like(16, MIB);
-        let small =
-            compare(cfg(), &strided_n1_pattern(32, 64, 47 * KIB), &PlfsSimOptions::default()).2;
-        let large =
-            compare(cfg(), &strided_n1_pattern(512, 64, 47 * KIB), &PlfsSimOptions::default()).2;
+        let small = compare(cfg(), &strided_n1_pattern(32, 64, 47 * KIB)).2;
+        let large = compare(cfg(), &strided_n1_pattern(512, 64, 47 * KIB)).2;
         assert!(
             large > 1.5 * small,
             "N-1 pain (and the PLFS win) should grow with ranks: {small:.1}x -> {large:.1}x"

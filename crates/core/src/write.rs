@@ -6,10 +6,14 @@
 //! same backing file — the transformation that turns an N-1 strided
 //! checkpoint into N independent sequential streams.
 //!
-//! Small-write batching (a post-PDSI PLFS extension, report §1.1 item 4)
-//! is built in: data is staged in a local buffer and appended to the
-//! backing store in large chunks; correctness is unaffected because
-//! physical offsets are assigned from the writer's private cursor.
+//! Every file a writer touches — data dropping, index dropping and the
+//! two checksum sidecars — is one private append log (`Log`): bytes
+//! queue in memory and land, in order, at the log's known tail, with a
+//! torn attempt resumed rather than duplicated. A write's physical
+//! offset is the data log's tail plus what is already queued, so
+//! small-write batching (a post-PDSI PLFS extension, report §1.1 item
+//! 4) is just the flush threshold: data lands once `data_buffer` bytes
+//! are queued, and write-through is the same path with threshold 0.
 
 use crate::backend::Backend;
 use crate::checksum::{chk_header, ChkBuilder, VERIFY_BLOCK};
@@ -17,8 +21,8 @@ use crate::container::ContainerPaths;
 use crate::index::{encode_compressed, IndexEntry};
 use crate::metrics::PlfsMetrics;
 use crate::record::err_token;
-use crate::retry::{append_at_reliable, append_at_reliable_traced, len_or_zero, RetryPolicy};
-use obs::trace::Phase;
+use crate::retry::{append_at_reliable, len_or_zero, RetryPolicy};
+use obs::trace::{Phase, TraceCtx};
 use std::io;
 use std::sync::Arc;
 use workloads::oplog::{OpKind, OpResult};
@@ -28,8 +32,8 @@ use workloads::oplog::{OpKind, OpResult};
 /// [`crate::checksum`]).
 #[derive(Debug, Clone)]
 pub struct WriterConfig {
-    /// Stage data locally and append in chunks of this size (0 =
-    /// write-through).
+    /// Stage data locally and append once this many bytes are queued
+    /// (0 = write-through: every write appends).
     pub data_buffer: usize,
     /// Flush the in-memory index every N entries (it always flushes on
     /// sync/close).
@@ -42,48 +46,53 @@ impl Default for WriterConfig {
     }
 }
 
-/// In-flight state of one checksum sidecar (`chk.R` or `chki.R`).
-struct SidecarState {
+/// One append-only file this writer owns exclusively.
+struct Log {
     path: String,
-    builder: ChkBuilder,
-    /// Encoded sidecar bytes not yet on the store (header first, then
-    /// completed-block CRC entries).
+    /// Byte length of the file on the store.
+    stored: u64,
+    /// Bytes queued for `stored`; after a failed flush a prefix of them
+    /// may already be on the store.
     pending: Vec<u8>,
-    /// Byte length of the sidecar on the store.
-    cursor: u64,
-    /// Last sidecar append failed and may have torn.
+    /// The last flush failed and may have torn: the next one re-measures
+    /// the tail before appending.
     uncertain: bool,
 }
 
-/// Flush a sidecar's pending bytes, resuming any torn prior attempt.
-/// `seal` (close only) also covers the final partial block, so a
-/// cleanly closed container is checksummed to its last byte.
-fn flush_sidecar(
-    backend: &dyn Backend,
-    retry: &RetryPolicy,
-    sc: &mut SidecarState,
-    seal: bool,
-) -> io::Result<()> {
-    let completed = sc.builder.take_pending();
-    sc.pending.extend_from_slice(&completed);
-    if let Some(crc) = sc.builder.tail_crc().filter(|_| seal) {
-        sc.pending.extend_from_slice(&crc.to_le_bytes());
+impl Log {
+    fn new(path: String, stored: u64) -> Self {
+        Log { path, stored, pending: Vec::new(), uncertain: false }
     }
-    if sc.pending.is_empty() {
-        return Ok(());
-    }
-    let pending = std::mem::take(&mut sc.pending);
-    match append_at_reliable(backend, retry, &sc.path, sc.cursor, &pending, sc.uncertain) {
-        Ok(()) => {
-            sc.cursor += pending.len() as u64;
-            sc.uncertain = false;
-            Ok(())
+
+    /// Land `pending` at `stored`, resuming a torn earlier attempt, and
+    /// return the bytes that landed (empty if nothing was queued). On
+    /// failure the bytes stay queued for the next flush.
+    fn flush(
+        &mut self,
+        backend: &dyn Backend,
+        retry: &RetryPolicy,
+        trace: &TraceCtx,
+        track: &str,
+        parent: u64,
+    ) -> io::Result<Vec<u8>> {
+        if self.pending.is_empty() {
+            return Ok(Vec::new());
         }
-        Err(e) => {
-            sc.pending = pending;
-            sc.uncertain = true;
-            Err(e)
-        }
+        let res = append_at_reliable(
+            backend,
+            retry,
+            &self.path,
+            self.stored,
+            &self.pending,
+            self.uncertain,
+            trace,
+            track,
+            parent,
+        );
+        self.uncertain = res.is_err();
+        res?;
+        self.stored += self.pending.len() as u64;
+        Ok(std::mem::take(&mut self.pending))
     }
 }
 
@@ -98,6 +107,12 @@ pub struct WriterStats {
 }
 
 /// An open write handle for one rank on one container.
+///
+/// Errors from `write_at`, `sync` and `close` mean that queued bytes
+/// are not on the store yet. The writer keeps every accepted write —
+/// including the one whose call failed — queued in order, and the next
+/// `write_at`, `sync` or `close` lands it or surfaces the error again.
+/// A write is durable once a later `sync` or `close` returns `Ok`.
 pub struct Writer {
     backend: Arc<dyn Backend>,
     paths: ContainerPaths,
@@ -108,28 +123,23 @@ pub struct Writer {
     /// Shared instrumentation + monotone stamp source (one per `Plfs`
     /// instance).
     metrics: Arc<PlfsMetrics>,
-    /// Next physical offset in the data dropping.
-    cursor: u64,
     max_logical: u64,
-    buf: Vec<u8>,
-    /// Physical offset of buf[0].
-    buf_base: u64,
+    /// The data dropping; its queue is the staging buffer.
+    data: Log,
+    /// Index entries not yet encoded into `index`'s queue.
     pending_index: Vec<IndexEntry>,
-    /// Already-encoded index bytes whose append failed part-way: they
-    /// must land (resumed, not duplicated) before anything newer.
-    pending_encoded: Vec<u8>,
-    /// Byte length of the index dropping on the store.
-    index_cursor: u64,
-    /// A data/index append failed and may have torn — the next append
-    /// to that file must re-measure the tail before writing.
-    data_tail_uncertain: bool,
-    index_tail_uncertain: bool,
-    /// Checksum sidecars: bytes are hashed the moment their append
-    /// succeeds, sidecar entries land lazily on sync/close — so a
-    /// sidecar may under-cover its file (crash artifact, reported as
-    /// "uncovered") but never over-cover.
-    chk: SidecarState,
-    chki: SidecarState,
+    /// The index dropping. Encoded bytes whose append failed stay queued
+    /// as they are: re-encoding them with newer entries would not be
+    /// prefix-compatible with a torn part already on the store.
+    index: Log,
+    /// Checksum sidecars and their builders: bytes are hashed the moment
+    /// their append succeeds, sidecar entries land lazily on sync/close
+    /// — so a sidecar may under-cover its file (crash artifact, reported
+    /// as "uncovered") but never over-cover.
+    chk: Log,
+    data_crcs: ChkBuilder,
+    chki: Log,
+    index_crcs: ChkBuilder,
     stats: WriterStats,
     open_dropping: String,
     closed: bool,
@@ -162,10 +172,13 @@ impl Writer {
         retry.run(|| backend.create(&open_dropping))?;
         // Appending to an existing dropping resumes at its tail. The
         // length queries are retried: silently treating a transient
-        // failure as "empty" would restart the cursor at 0 and corrupt
-        // the log.
-        let cursor = len_or_zero(backend.as_ref(), &retry, &paths.data_dropping(rank))?;
-        let index_cursor = len_or_zero(backend.as_ref(), &retry, &paths.index_dropping(rank))?;
+        // failure as "empty" would restart the log at 0 and corrupt it.
+        let resume = |path: String| -> io::Result<Log> {
+            let stored = len_or_zero(backend.as_ref(), &retry, &path)?;
+            Ok(Log::new(path, stored))
+        };
+        let data = resume(paths.data_dropping(rank))?;
+        let index = resume(paths.index_dropping(rank))?;
         // A previous session's sidecars go stale the moment this session
         // appends to the covered files (their close-time tail CRC no
         // longer matches the grown tail block), so remove them *before*
@@ -184,18 +197,17 @@ impl Writer {
         // own bytes (verification is the reader's and scrub's job). This
         // also invalidates a previous close's tail CRC, which the
         // resumed appends would outgrow.
-        let mk = |path: String, covered_path: String, covered: u64| -> io::Result<SidecarState> {
-            let mut builder = ChkBuilder::new(VERIFY_BLOCK);
-            let mut pending = chk_header(VERIFY_BLOCK as u32);
-            if covered > 0 {
-                let existing = retry.run(|| backend.read_all(&covered_path))?;
-                builder.absorb(&existing);
-                pending.extend_from_slice(&builder.take_pending());
+        let sidecar = |path: String, covered: &Log| -> io::Result<(Log, ChkBuilder)> {
+            let mut crcs = ChkBuilder::new(VERIFY_BLOCK);
+            if covered.stored > 0 {
+                crcs.absorb(&retry.run(|| backend.read_all(&covered.path))?);
             }
-            Ok(SidecarState { path, builder, pending, cursor: 0, uncertain: false })
+            let mut log = Log::new(path, 0);
+            log.pending = chk_header(VERIFY_BLOCK as u32);
+            Ok((log, crcs))
         };
-        let chk = mk(paths.chk_dropping(rank), paths.data_dropping(rank), cursor)?;
-        let chki = mk(paths.index_chk_dropping(rank), paths.index_dropping(rank), index_cursor)?;
+        let (chk, data_crcs) = sidecar(paths.chk_dropping(rank), &data)?;
+        let (chki, index_crcs) = sidecar(paths.index_chk_dropping(rank), &index)?;
         Ok(Writer {
             backend,
             paths,
@@ -203,17 +215,14 @@ impl Writer {
             retry,
             rank,
             metrics,
-            cursor,
             max_logical: 0,
-            buf: Vec::new(),
-            buf_base: cursor,
+            data,
             pending_index: Vec::new(),
-            pending_encoded: Vec::new(),
-            index_cursor,
-            data_tail_uncertain: false,
-            index_tail_uncertain: false,
+            index,
             chk,
+            data_crcs,
             chki,
+            index_crcs,
             stats: WriterStats::default(),
             open_dropping,
             closed: false,
@@ -239,6 +248,10 @@ impl Writer {
 
     /// Write `data` at logical offset `offset` — O(1) regardless of the
     /// logical layout: one log append plus one index record.
+    ///
+    /// An error means queued bytes (this write's among them) are not on
+    /// the store yet; they stay queued, and the next `write_at`, `sync`
+    /// or `close` lands them or returns the error again.
     pub fn write_at(&mut self, offset: u64, data: &[u8]) -> io::Result<()> {
         self.write_at_opt(offset, data, None)
     }
@@ -292,31 +305,22 @@ impl Writer {
         // A fresh stamp is taken *inside* the span: on the logical
         // clock, span durations are measured in stamps.
         let ts = ts.unwrap_or_else(|| self.metrics.clock.stamp());
-        let phys = self.cursor;
         self.pending_index.push(IndexEntry {
             logical_offset: offset,
             length: data.len() as u64,
-            physical_offset: phys,
+            physical_offset: self.data.stored + self.data.pending.len() as u64,
             writer: self.rank,
             timestamp: ts,
         });
-        self.cursor += data.len() as u64;
+        self.data.pending.extend_from_slice(data);
         self.max_logical = self.max_logical.max(offset + data.len() as u64);
         self.stats.writes += 1;
         self.stats.bytes += data.len() as u64;
         self.metrics.write_ops.inc();
         self.metrics.write_bytes.add(data.len() as u64);
 
-        if self.cfg.data_buffer == 0 {
-            self.append_data(phys, data, op_id)?;
-            self.buf_base = self.cursor;
-            self.stats.data_appends += 1;
-            self.metrics.data_appends.inc();
-        } else {
-            self.buf.extend_from_slice(data);
-            if self.buf.len() >= self.cfg.data_buffer {
-                self.flush_data(op_id)?;
-            }
+        if self.data.pending.len() >= self.cfg.data_buffer {
+            self.flush_data(op_id)?;
         }
         if self.pending_index.len() >= self.cfg.index_flush_every {
             self.flush_index(op_id)?;
@@ -324,135 +328,85 @@ impl Writer {
         Ok(ts)
     }
 
-    /// Land `data` at exactly `base` in the data dropping, resuming any
-    /// torn previous attempt. On a surfaced failure the tail is marked
-    /// uncertain so the next attempt re-measures instead of duplicating.
-    fn append_data(&mut self, base: u64, data: &[u8], parent: u64) -> io::Result<()> {
-        let path = self.paths.data_dropping(self.rank);
+    fn flush_data(&mut self, parent: u64) -> io::Result<()> {
+        if self.data.pending.is_empty() {
+            return Ok(());
+        }
         let track = self.track();
         let span = self.metrics.trace.start("plfs.data_append", Phase::Transfer, &track, parent);
-        let res = append_at_reliable_traced(
+        let res = self.data.flush(
             self.backend.as_ref(),
             &self.retry,
-            &path,
-            base,
-            data,
-            self.data_tail_uncertain,
             &self.metrics.trace,
             &track,
             span.id(),
         );
         span.end();
-        self.data_tail_uncertain = res.is_err();
-        if res.is_ok() {
-            self.chk.builder.absorb(data);
-        }
-        res
-    }
-
-    fn flush_data(&mut self, parent: u64) -> io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        let base = self.buf_base;
-        // `buf` is only appended to between attempts, so a torn prefix
-        // left by a failed flush is still a prefix of the current buf
-        // and the resume logic in `append_data` stays valid.
-        let buf = std::mem::take(&mut self.buf);
-        let res = self.append_data(base, &buf, parent);
-        match res {
-            Ok(()) => {
-                self.buf_base += buf.len() as u64;
-                self.stats.data_appends += 1;
-                self.metrics.data_appends.inc();
-                Ok(())
-            }
-            Err(e) => {
-                self.buf = buf; // keep the bytes for the next attempt
-                Err(e)
-            }
-        }
-    }
-
-    fn flush_index(&mut self, parent: u64) -> io::Result<()> {
-        // First finish any encoded batch whose append previously failed:
-        // its bytes may already partially be on the store, and nothing
-        // newer may land before it.
-        if !self.pending_encoded.is_empty() {
-            let encoded = std::mem::take(&mut self.pending_encoded);
-            if let Err(e) = self.append_index_bytes(&encoded, parent) {
-                self.pending_encoded = encoded;
-                return Err(e);
-            }
-        }
-        if self.pending_index.is_empty() {
-            return Ok(());
-        }
-        let encoded = encode_compressed(&self.pending_index);
-        self.pending_index.clear();
-        if let Err(e) = self.append_index_bytes(&encoded, parent) {
-            // Keep the exact bytes: re-encoding later (after more
-            // entries queued) would not be prefix-compatible with what
-            // already landed.
-            self.pending_encoded = encoded;
-            return Err(e);
-        }
+        self.data_crcs.absorb(&res?);
+        self.stats.data_appends += 1;
+        self.metrics.data_appends.inc();
         Ok(())
     }
 
-    fn append_index_bytes(&mut self, encoded: &[u8], parent: u64) -> io::Result<()> {
-        let path = self.paths.index_dropping(self.rank);
+    fn flush_index(&mut self, parent: u64) -> io::Result<()> {
+        self.index.pending.extend_from_slice(&encode_compressed(&self.pending_index));
+        self.pending_index.clear();
+        if self.index.pending.is_empty() {
+            return Ok(());
+        }
         let track = self.track();
         let span = self.metrics.trace.start("plfs.index_append", Phase::Transfer, &track, parent);
-        let res = append_at_reliable_traced(
+        let res = self.index.flush(
             self.backend.as_ref(),
             &self.retry,
-            &path,
-            self.index_cursor,
-            encoded,
-            self.index_tail_uncertain,
             &self.metrics.trace,
             &track,
             span.id(),
         );
         span.end();
-        self.index_tail_uncertain = res.is_err();
-        if res.is_ok() {
-            self.index_cursor += encoded.len() as u64;
-            self.stats.index_appends += 1;
-            self.stats.index_bytes += encoded.len() as u64;
-            self.metrics.index_appends.inc();
-            self.metrics.index_bytes_written.add(encoded.len() as u64);
-            self.chki.builder.absorb(encoded);
-        }
-        res
+        let landed = res?;
+        self.stats.index_appends += 1;
+        self.stats.index_bytes += landed.len() as u64;
+        self.metrics.index_appends.inc();
+        self.metrics.index_bytes_written.add(landed.len() as u64);
+        self.index_crcs.absorb(&landed);
+        Ok(())
     }
 
     /// Land pending sidecar entries (completed-block CRCs) after the
-    /// bytes they cover. Sidecar appends bypass the data/index append
-    /// counters: they are integrity overhead, not workload I/O.
-    fn flush_sidecars(&mut self, parent: u64) -> io::Result<()> {
-        let span =
-            self.metrics.trace.start("plfs.chk_append", Phase::Transfer, &self.track(), parent);
+    /// bytes they cover; `seal` (close only) also covers the final
+    /// partial block, so a cleanly closed container is checksummed to
+    /// its last byte. Both sidecars are tried even if one fails.
+    /// Sidecar appends bypass the data/index append counters: they are
+    /// integrity overhead, not workload I/O.
+    fn flush_sidecars(&mut self, seal: bool) -> io::Result<()> {
+        let (backend, retry, untraced) = (self.backend.as_ref(), &self.retry, TraceCtx::disabled());
         let mut res = Ok(());
-        for sc in [&mut self.chk, &mut self.chki] {
-            let r = flush_sidecar(self.backend.as_ref(), &self.retry, sc, false);
-            if res.is_ok() {
-                res = r;
+        for (log, crcs) in
+            [(&mut self.chk, &mut self.data_crcs), (&mut self.chki, &mut self.index_crcs)]
+        {
+            log.pending.extend_from_slice(&crcs.take_pending());
+            if let Some(crc) = crcs.tail_crc().filter(|_| seal) {
+                log.pending.extend_from_slice(&crc.to_le_bytes());
             }
+            res = res.and(log.flush(backend, retry, &untraced, "", 0).map(drop));
         }
-        span.end();
         res
     }
 
-    /// Flush everything to the backing store.
+    /// Flush everything to the backing store. On error, whatever did not
+    /// land stays queued for the next `write_at`, `sync` or `close`.
     pub fn sync(&mut self) -> io::Result<()> {
         let span = self.metrics.trace.start("plfs.sync", Phase::Compute, &self.track(), 0);
         let id = span.id();
         let res = (|| {
             self.flush_data(id)?;
             self.flush_index(id)?;
-            self.flush_sidecars(id)
+            let chk =
+                self.metrics.trace.start("plfs.chk_append", Phase::Transfer, &self.track(), id);
+            let res = self.flush_sidecars(false);
+            chk.end();
+            res
         })();
         if let Some(rec) = &self.metrics.recorder {
             let result = match &res {
@@ -464,14 +418,14 @@ impl Writer {
         res
     }
 
-    /// Close the handle: flush, drop the openhosts dropping, and leave
-    /// a metadata summary so later opens can shortcut stat calls.
+    /// Close the handle: flush, seal the sidecars, drop the openhosts
+    /// dropping, and leave a metadata summary so later opens can
+    /// shortcut stat calls. On error the handle is dropped, which makes
+    /// one more best-effort `sync` of whatever is still queued.
     pub fn close(mut self) -> io::Result<WriterStats> {
         let res = (|| {
             self.sync()?;
-            for sc in [&mut self.chk, &mut self.chki] {
-                flush_sidecar(self.backend.as_ref(), &self.retry, sc, true)?;
-            }
+            self.flush_sidecars(true)?;
             let max_ts = self.metrics.clock.current();
             let meta =
                 self.paths.meta_dropping(self.rank, self.max_logical, self.stats.bytes, max_ts);

@@ -7,7 +7,7 @@
 //! ```
 
 use pdsi::pfs::ClusterConfig;
-use pdsi::plfs::simadapter::{compare, PlfsSimOptions};
+use pdsi::plfs::simadapter::compare;
 use pdsi::simkit::units::MIB;
 use pdsi::workloads::AppProfile;
 
@@ -38,7 +38,7 @@ fn main() {
         ("Lustre-like", ClusterConfig::lustre_like(servers, MIB)),
         ("GPFS-like", ClusterConfig::gpfs_like(servers, MIB)),
     ] {
-        let (direct, plfs, speedup) = compare(cfg, &pattern, &PlfsSimOptions::default());
+        let (direct, plfs, speedup) = compare(cfg, &pattern);
         println!(
             "{name:<12} direct {:>9.1} MB/s ({} revocations) | PLFS {:>9.1} MB/s | {speedup:.1}x",
             direct.write_bandwidth() / 1e6,

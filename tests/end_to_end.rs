@@ -4,7 +4,7 @@
 
 use pdsi::pfs::ClusterConfig;
 use pdsi::plfs::backend::{Backend, DirBackend, MemBackend};
-use pdsi::plfs::simadapter::{compare, run_direct, PlfsSimOptions};
+use pdsi::plfs::simadapter::{compare, run_direct};
 use pdsi::plfs::{ParallelFile, Plfs, PlfsConfig};
 use pdsi::simkit::units::MIB;
 use pdsi::workloads::{AppProfile, Trace};
@@ -156,8 +156,8 @@ fn h5lite_over_plfs_flattened_container() {
 fn simulated_speedup_is_deterministic_across_runs() {
     let app = AppProfile::by_name("FLASH-IO").unwrap();
     let pattern = app.pattern(64);
-    let s1 = compare(ClusterConfig::lustre_like(8, MIB), &pattern, &PlfsSimOptions::default()).2;
-    let s2 = compare(ClusterConfig::lustre_like(8, MIB), &pattern, &PlfsSimOptions::default()).2;
+    let s1 = compare(ClusterConfig::lustre_like(8, MIB), &pattern).2;
+    let s2 = compare(ClusterConfig::lustre_like(8, MIB), &pattern).2;
     assert_eq!(s1.to_bits(), s2.to_bits(), "simulation must be bit-reproducible");
 }
 
@@ -166,8 +166,7 @@ fn bytes_conserved_between_direct_and_plfs_modes() {
     let app = AppProfile::by_name("RAGE").unwrap();
     let pattern = app.pattern(32);
     let app_bytes: u64 = pattern.iter().flatten().map(|&(_, l)| l).sum();
-    let (direct, plfs, _) =
-        compare(ClusterConfig::lustre_like(8, MIB), &pattern, &PlfsSimOptions::default());
+    let (direct, plfs, _) = compare(ClusterConfig::lustre_like(8, MIB), &pattern);
     assert_eq!(direct.bytes_written, app_bytes);
     assert!(plfs.bytes_written >= app_bytes, "PLFS lost data bytes");
     assert!(

@@ -183,13 +183,18 @@ impl AckedModel {
     }
 }
 
-/// Deterministic multi-writer workload over a faulty backend. Returns
-/// the acked model at the moment the backend froze.
+/// Deterministic multi-writer workload over a faulty backend, staging
+/// `data_buffer` bytes per data append (0 = write-through). Returns the
+/// acked model at the moment the backend froze.
 ///
 /// Writes are disjoint (each record owns its logical slot) so an acked
 /// record can never be legitimately superseded by an unacked one —
 /// byte-for-byte readback is then an invariant, not a probability.
-fn crash_workload(crash_after: u64, seed: u64) -> (Arc<FaultyBackend<MemBackend>>, AckedModel) {
+fn crash_workload(
+    crash_after: u64,
+    seed: u64,
+    data_buffer: usize,
+) -> (Arc<FaultyBackend<MemBackend>>, AckedModel) {
     let faulty = Arc::new(FaultyBackend::new(
         MemBackend::new(),
         FaultPlan { crash_after_bytes: Some(crash_after), ..FaultPlan::none(seed) },
@@ -198,7 +203,7 @@ fn crash_workload(crash_after: u64, seed: u64) -> (Arc<FaultyBackend<MemBackend>
         faulty.clone() as Arc<dyn Backend>,
         PlfsConfig {
             hostdirs: 2,
-            writer: WriterConfig { data_buffer: 128, index_flush_every: 4 },
+            writer: WriterConfig { data_buffer, index_flush_every: 4 },
             retry: RetryPolicy::none(),
             ..Default::default()
         },
@@ -247,12 +252,13 @@ fn crash_workload(crash_after: u64, seed: u64) -> (Arc<FaultyBackend<MemBackend>
 }
 
 /// Crash-stop the backend at *every byte boundary* of the tail of the
-/// workload, repair, and verify every acked byte reads back.
+/// workload, repair, and verify every acked byte reads back — both
+/// write-through and buffered.
 #[test]
 fn crash_repair_preserves_acked_data_at_every_boundary() {
-    for seed in [0u64, 7, 42] {
+    for (seed, data_buffer) in [0u64, 7, 42].into_iter().flat_map(|s| [(s, 0), (s, 128)]) {
         // Probe run without a crash to learn the total appended bytes.
-        let (probe, _) = crash_workload(u64::MAX, seed);
+        let (probe, _) = crash_workload(u64::MAX, seed, data_buffer);
         let total = probe.bytes_appended();
         assert!(total > 0);
         // Sweep crash points: every byte boundary in the final stretch,
@@ -261,21 +267,84 @@ fn crash_repair_preserves_acked_data_at_every_boundary() {
         let mut points: Vec<u64> = (0..tail_start).step_by(61).collect();
         points.extend(tail_start..=total);
         for crash_after in points {
-            let (faulty, model) = crash_workload(crash_after, seed);
+            let (faulty, model) = crash_workload(crash_after, seed, data_buffer);
             faulty.heal();
             let report =
                 fsck::repair(faulty.as_ref(), "/f", 2, &fsck::RepairOptions::default()).unwrap();
+            let tag = format!("buffer {data_buffer} crash@{crash_after}");
             assert!(
                 report.after.is_clean(),
-                "seed {seed} crash@{crash_after}: repair left errors {:?}",
+                "seed {seed} {tag}: repair left errors {:?}",
                 report.after.errors
             );
             let fs = Plfs::new(
                 faulty.clone() as Arc<dyn Backend>,
                 PlfsConfig { hostdirs: 2, ..Default::default() },
             );
-            model.assert_readable(&fs, seed, &format!("crash@{crash_after}"));
+            model.assert_readable(&fs, seed, &tag);
         }
+    }
+}
+
+/// A failed write is not lost: the writer keeps it queued in order and
+/// the next write, `sync` or `close` lands it. Errors surface (no
+/// retries) from transient and torn appends on every file the writer
+/// touches, the workload keeps writing through them, then syncs until
+/// one succeeds. Every issued write must read back, at every buffer
+/// size. Write-through (`data_buffer: 0`) once dropped the bytes of a
+/// failed append while keeping its index entry: later writes failed
+/// forever with "shrank under us", and `sync`/`close` still committed
+/// index entries for bytes that never landed.
+#[test]
+fn failed_writes_stay_queued_and_land_at_every_buffer_size() {
+    const REC: u64 = 24;
+    const SLOTS: u64 = 48;
+    for data_buffer in [0, 64, 1 << 20] {
+        let mut surfaced = 0;
+        for seed in 0..8u64 {
+            let tag = format!("buffer {data_buffer} seed {seed}");
+            let faulty = Arc::new(FaultyBackend::new(MemBackend::new(), FaultPlan::none(seed)));
+            let fs = Plfs::new(
+                faulty.clone() as Arc<dyn Backend>,
+                PlfsConfig {
+                    hostdirs: 2,
+                    writer: WriterConfig { data_buffer, index_flush_every: 4 },
+                    retry: RetryPolicy::none(),
+                    ..Default::default()
+                },
+            );
+            let mut writers: Vec<_> = (0..2).map(|r| fs.open_writer("/w", r).unwrap()).collect();
+            faulty.set_plan(FaultPlan {
+                transient_error_rate: 0.15,
+                torn_append_rate: 0.1,
+                ..FaultPlan::none(seed)
+            });
+            let mut rng = Rng::new(500 + seed);
+            let mut want = vec![0u8; (SLOTS * REC) as usize];
+            for slot in 0..SLOTS {
+                let w = &mut writers[rng.below(2) as usize];
+                let fill = (rng.below(251) + 1) as u8;
+                want[(slot * REC) as usize..((slot + 1) * REC) as usize].fill(fill);
+                surfaced += w.write_at(slot * REC, &[fill; REC as usize]).is_err() as u32;
+                if rng.chance(0.2) {
+                    surfaced += w.sync().is_err() as u32;
+                }
+            }
+            for w in &mut writers {
+                let synced = (0..64).any(|_| w.sync().is_ok());
+                assert!(synced, "{tag}: sync never succeeded");
+            }
+            faulty.set_plan(FaultPlan::none(seed));
+            for w in writers {
+                w.close().unwrap_or_else(|e| panic!("{tag}: close failed: {e}"));
+            }
+            let report = fsck::fsck(faulty.as_ref(), "/w", 2).unwrap();
+            assert!(report.is_clean(), "{tag}: fsck found {:?}", report.errors);
+            let got = fs.open_reader("/w").unwrap().read_all();
+            let got = got.unwrap_or_else(|e| panic!("{tag}: read_all failed: {e}"));
+            assert!(got == want, "{tag}: read back {} B, wrote {} B", got.len(), want.len());
+        }
+        assert!(surfaced > 0, "buffer {data_buffer}: no error surfaced — weak test");
     }
 }
 
@@ -289,13 +358,13 @@ fn crash_repair_preserves_acked_data_at_every_boundary() {
 #[test]
 fn crash_inside_repair_converges_on_second_pass() {
     for seed in [0u64, 7, 42] {
-        let (probe, _) = crash_workload(u64::MAX, seed);
+        let (probe, _) = crash_workload(u64::MAX, seed, 128);
         let total = probe.bytes_appended();
         // Workload crash points that leave torn state for repair to
         // rewrite: mid-run and deep in the tail.
         for wc in [total / 2, total.saturating_sub(29)] {
             // Probe: how many bytes does repairing this wreck append?
-            let (faulty, _) = crash_workload(wc, seed);
+            let (faulty, _) = crash_workload(wc, seed, 128);
             faulty.heal();
             let base = faulty.bytes_appended();
             fsck::repair(faulty.as_ref(), "/f", 2, &fsck::RepairOptions::default()).unwrap();
@@ -303,7 +372,7 @@ fn crash_inside_repair_converges_on_second_pass() {
             // Sweep: re-create the identical wreck, then crash repair
             // at every byte it appends (k = 0 crashes its first write).
             for k in 0..=delta {
-                let (faulty, model) = crash_workload(wc, seed);
+                let (faulty, model) = crash_workload(wc, seed, 128);
                 faulty.heal();
                 faulty.set_plan(FaultPlan {
                     crash_after_bytes: Some(base + k),
