@@ -129,19 +129,8 @@ pub fn ingest_cell(shards: usize, swarm: &SwarmPlan) -> IngestCell {
     let reg = Registry::new();
     let backend = Arc::new(PacedBackend::new(PACE_NS_PER_BYTE, PACE_FLOOR_NS)) as Arc<dyn Backend>;
     let fs = Plfs::new(backend, PlfsConfig { metrics: reg.clone(), ..Default::default() });
-    let svc = IngestService::start(
-        &fs,
-        "/swarm",
-        ServiceConfig {
-            shards,
-            // Drains are sleep-bound, not CPU-bound: give every shard a
-            // worker regardless of core count so the scaling measured
-            // is the service's, not the CI box's.
-            drain_workers: shards,
-            ..Default::default()
-        },
-    )
-    .expect("service start");
+    let svc = IngestService::start(&fs, "/swarm", ServiceConfig { shards, ..Default::default() })
+        .expect("service start");
 
     // Materialize payloads before the clock starts: the timed region
     // measures the service (accept → group commit → barrier), not

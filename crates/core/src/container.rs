@@ -166,24 +166,41 @@ pub fn is_container(backend: &dyn Backend, base: &str) -> bool {
     backend.exists(&format!("{}/{ACCESS}", base.trim_end_matches('/')))
 }
 
+/// Every file in every `hostdir.*` subdirectory of the container, as
+/// `(dir, name)` pairs in listing order.
+pub fn hostdir_files(
+    backend: &dyn Backend,
+    paths: &ContainerPaths,
+) -> io::Result<Vec<(String, String)>> {
+    let mut out = Vec::new();
+    for entry in backend.list(paths.base())? {
+        if entry.starts_with("hostdir.") {
+            let dir = format!("{}/{entry}", paths.base());
+            out.extend(backend.list(&dir)?.into_iter().map(|name| (dir.clone(), name)));
+        }
+    }
+    Ok(out)
+}
+
+/// The rank of a dropping named `<kind>.<rank>` (`data.3` → 3 for
+/// kind `data`), or `None` for any other name.
+pub fn dropping_rank(name: &str, kind: &str) -> Option<u32> {
+    name.strip_prefix(kind)?.strip_prefix('.')?.parse().ok()
+}
+
 /// Enumerate `(rank, index_path, data_path)` for every writer that left
 /// droppings in the container.
 pub fn discover_droppings(
     backend: &dyn Backend,
     paths: &ContainerPaths,
 ) -> io::Result<Vec<(u32, String, String)>> {
-    let mut out = Vec::new();
-    for entry in backend.list(paths.base())? {
-        if !entry.starts_with("hostdir.") {
-            continue;
-        }
-        let dir = format!("{}/{entry}", paths.base());
-        for name in backend.list(&dir)? {
-            if let Some(rank) = name.strip_prefix("index.").and_then(|r| r.parse::<u32>().ok()) {
-                out.push((rank, format!("{dir}/{name}"), format!("{dir}/data.{rank}")));
-            }
-        }
-    }
+    let mut out: Vec<_> = hostdir_files(backend, paths)?
+        .into_iter()
+        .filter_map(|(dir, name)| {
+            let rank = dropping_rank(&name, "index")?;
+            Some((rank, format!("{dir}/{name}"), format!("{dir}/data.{rank}")))
+        })
+        .collect();
     out.sort_by_key(|(r, _, _)| *r);
     Ok(out)
 }

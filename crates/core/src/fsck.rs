@@ -22,7 +22,10 @@
 use crate::backend::Backend;
 use crate::canonical::{freshness, CanonicalIndex};
 use crate::checksum::{Sidecar, CHK_HEADER_BYTES};
-use crate::container::{compact_epoch_ledger, discover_droppings, is_container, ContainerPaths};
+use crate::container::{
+    compact_epoch_ledger, discover_droppings, dropping_rank, hostdir_files, is_container,
+    ContainerPaths,
+};
 use crate::index::{decode, decode_prefix, encode_raw, IndexEntry};
 use crate::pool;
 use std::io;
@@ -171,17 +174,9 @@ pub fn fsck(backend: &dyn Backend, logical: &str, hostdirs: u32) -> io::Result<F
     }
 
     // Data droppings with no index at all.
-    for entry in backend.list(paths.base())? {
-        if !entry.starts_with("hostdir.") {
-            continue;
-        }
-        let dir = format!("{}/{entry}", paths.base());
-        for name in backend.list(&dir)? {
-            if let Some(rank) = name.strip_prefix("data.").and_then(|r| r.parse::<u32>().ok()) {
-                if !indexed_ranks.contains(&rank) {
-                    report.errors.push(FsckError::MissingIndex { rank });
-                }
-            }
+    for (_, name) in hostdir_files(backend, &paths)? {
+        if let Some(rank) = dropping_rank(&name, "data").filter(|r| !indexed_ranks.contains(r)) {
+            report.errors.push(FsckError::MissingIndex { rank });
         }
     }
 
@@ -628,39 +623,26 @@ pub fn repair(
 
     // Pass 4: data droppings with no index dropping at all.
     let indexed: std::collections::HashSet<u32> = kept_all.iter().map(|(r, ..)| *r).collect();
-    for entry in backend.list(paths.base())? {
-        if !entry.starts_with("hostdir.") {
+    for (dir, name) in hostdir_files(backend, &paths)? {
+        let Some(rank) = dropping_rank(&name, "data").filter(|r| !indexed.contains(r)) else {
             continue;
-        }
-        let dir = format!("{}/{entry}", paths.base());
-        for name in backend.list(&dir)? {
-            let Some(rank) = name.strip_prefix("data.").and_then(|r| r.parse::<u32>().ok()) else {
-                continue;
+        };
+        let data_path = format!("{dir}/{name}");
+        let bytes = backend.len(&data_path).unwrap_or(0);
+        if opts.salvage_orphans && bytes > 0 {
+            let entry = IndexEntry {
+                logical_offset: logical_eof,
+                length: bytes,
+                physical_offset: 0,
+                writer: rank,
+                timestamp: max_ts + 1,
             };
-            if indexed.contains(&rank) {
-                continue;
-            }
-            let data_path = format!("{dir}/{name}");
-            let bytes = backend.len(&data_path).unwrap_or(0);
-            if opts.salvage_orphans && bytes > 0 {
-                let entry = IndexEntry {
-                    logical_offset: logical_eof,
-                    length: bytes,
-                    physical_offset: 0,
-                    writer: rank,
-                    timestamp: max_ts + 1,
-                };
-                backend.append(&paths.index_dropping(rank), &encode_raw(&[entry]))?;
-                actions.push(RepairAction::SalvagedOrphan {
-                    rank,
-                    bytes,
-                    logical_offset: logical_eof,
-                });
-                logical_eof += bytes;
-            } else {
-                backend.remove(&data_path)?;
-                actions.push(RepairAction::RemovedUnindexedData { rank });
-            }
+            backend.append(&paths.index_dropping(rank), &encode_raw(&[entry]))?;
+            actions.push(RepairAction::SalvagedOrphan { rank, bytes, logical_offset: logical_eof });
+            logical_eof += bytes;
+        } else {
+            backend.remove(&data_path)?;
+            actions.push(RepairAction::RemovedUnindexedData { rank });
         }
     }
 
@@ -698,34 +680,21 @@ pub fn repair(
             _ => {}
         }
     }
-    for entry in backend.list(paths.base())? {
-        if !entry.starts_with("hostdir.") {
+    for (dir, name) in hostdir_files(backend, &paths)? {
+        let (rank, covered, modified, rewritten) = if let Some(r) = dropping_rank(&name, "chki") {
+            (r, format!("{dir}/index.{r}"), index_mod.contains(&r), index_rewritten.contains(&r))
+        } else if let Some(r) = dropping_rank(&name, "chk") {
+            (r, format!("{dir}/data.{r}"), data_mod.contains(&r), false)
+        } else {
+            continue;
+        };
+        let sidecar = format!("{dir}/{name}");
+        if rewritten {
+            backend.remove(&sidecar)?;
+            actions.push(RepairAction::RemovedChecksumSidecar { rank });
             continue;
         }
-        let dir = format!("{}/{entry}", paths.base());
-        for name in backend.list(&dir)? {
-            let (rank, covered, modified, rewritten) = if let Some(r) =
-                name.strip_prefix("chki.").and_then(|r| r.parse::<u32>().ok())
-            {
-                (
-                    r,
-                    format!("{dir}/index.{r}"),
-                    index_mod.contains(&r),
-                    index_rewritten.contains(&r),
-                )
-            } else if let Some(r) = name.strip_prefix("chk.").and_then(|r| r.parse::<u32>().ok()) {
-                (r, format!("{dir}/data.{r}"), data_mod.contains(&r), false)
-            } else {
-                continue;
-            };
-            let sidecar = format!("{dir}/{name}");
-            if rewritten {
-                backend.remove(&sidecar)?;
-                actions.push(RepairAction::RemovedChecksumSidecar { rank });
-                continue;
-            }
-            reconcile_sidecar(backend, rank, &covered, &sidecar, modified, &mut actions)?;
-        }
+        reconcile_sidecar(backend, rank, &covered, &sidecar, modified, &mut actions)?;
     }
 
     // Pass 6: the flattened-index cache. Runs last because the passes
@@ -756,15 +725,8 @@ pub fn repair(
     // run's own temps are already gone (the rename consumed them), so
     // anything still here is from the crash; its target either got
     // re-repaired above or never needed the staged bytes.
-    for entry in backend.list(paths.base())? {
-        if !entry.starts_with("hostdir.") {
-            continue;
-        }
-        let dir = format!("{}/{entry}", paths.base());
-        for name in backend.list(&dir)? {
-            if !name.ends_with(REPAIR_TEMP_SUFFIX) {
-                continue;
-            }
+    for (dir, name) in hostdir_files(backend, &paths)? {
+        if name.ends_with(REPAIR_TEMP_SUFFIX) {
             let path = format!("{dir}/{name}");
             backend.remove(&path)?;
             actions.push(RepairAction::RemovedRepairTemp { path });

@@ -9,15 +9,26 @@
 //!
 //! [`IngestService`] is that layer:
 //!
-//! - **Sharding.** Clients hash onto `shards` independent shards, each
-//!   owning its own [`Writer`] (rank = shard id, its own atomically
-//!   reserved session) behind its own mutex — no global lock on the
-//!   ingest path.
-//! - **Group commit.** Queued writes drain in batches: one
-//!   `write_at_stamped` per logical write, then **one** `sync()` (the
-//!   index append + flush) amortized across the whole batch. The
-//!   fan-in — logical writes per index fsync — is the service's whole
-//!   economic argument, exported as `svc.commit.fanin`.
+//! - **Sharding.** Clients hash onto `shards` independent shards. Each
+//!   owns its queue, its [`Writer`] (rank = shard id, its own
+//!   atomically reserved session), its lock and its one drain thread —
+//!   no global lock and no shared scheduler on the ingest path.
+//! - **Group commit.** A shard's drain thread takes the whole queue,
+//!   applies one `write_at_stamped` per logical write, then issues
+//!   **one** `sync()` (the index append + flush) amortized across the
+//!   batch. The fan-in — logical writes per index fsync — is the
+//!   service's whole economic argument, exported as `svc.commit.fanin`.
+//! - **State-driven wake-ups.** The drain thread commits when its
+//!   queue holds a full batch (`batch_ops`), a [`sync`] waits on it, a
+//!   producer is blocked, the service shuts down, or the oldest queued
+//!   write has waited `flush_interval`. Each condition is state under
+//!   the shard's lock that the thread re-checks before it sleeps, so no
+//!   wake-up can be lost. The straggler deadline is the only timed
+//!   wait; a shard with an empty queue sleeps until a write arrives.
+//! - **Lazy drain threads.** A shard's thread is spawned by the first
+//!   write the shard accepts, not by [`IngestService::start`], so
+//!   starting a service costs only opening its writers, and a shard no
+//!   client hashes onto never costs a thread.
 //! - **Bounded backpressure.** Per-shard queues cap both ops and
 //!   bytes; a full queue blocks the producer (recorded as
 //!   `svc.queue.stalls` / `svc.queue.stall_ns`) instead of growing
@@ -41,20 +52,22 @@
 
 use crate::filesystem::Plfs;
 use crate::metrics::PlfsMetrics;
-use crate::pool;
 use crate::write::Writer;
 use obs::trace::Phase;
 use obs::{Counter, Gauge, Histogram};
 use std::collections::VecDeque;
 use std::io;
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Tuning for one [`IngestService`].
+/// Tuning for one [`IngestService`]. Each shard gets one drain thread,
+/// spawned by the first write it accepts (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Independent shards (one writer session each). Aggregate ingest
-    /// bandwidth scales with this as long as the backend does.
+    /// Independent shards (one writer session and one drain thread
+    /// each). Aggregate ingest bandwidth scales with this as long as
+    /// the backend does.
     pub shards: usize,
     /// Per-shard queue cap in ops; a full queue blocks producers.
     pub queue_ops: usize,
@@ -63,11 +76,10 @@ pub struct ServiceConfig {
     /// Drain a shard as soon as this many ops are queued (the
     /// batch-size half of the group-commit policy).
     pub batch_ops: usize,
-    /// Drain whatever is queued at least this often (the
-    /// flush-interval half; stragglers never wait longer than this).
+    /// Drain a shard once its oldest queued write has waited this long
+    /// (the flush-interval half; stragglers never wait longer than
+    /// this).
     pub flush_interval: Duration,
-    /// Worker cap for concurrent shard drains (on [`pool::run_bounded`]).
-    pub drain_workers: usize,
 }
 
 impl Default for ServiceConfig {
@@ -78,7 +90,6 @@ impl Default for ServiceConfig {
             queue_bytes: 8 << 20,
             batch_ops: 64,
             flush_interval: Duration::from_millis(2),
-            drain_workers: pool::available_parallelism(),
         }
     }
 }
@@ -130,15 +141,43 @@ type ShardFailure = (io::ErrorKind, String);
 struct ShardQueue {
     queue: VecDeque<QueuedWrite>,
     bytes: usize,
+    /// When the oldest queued write was accepted; `None` while empty.
+    oldest: Option<Instant>,
     /// Sequence of the last accepted write.
     enqueued_seq: u64,
     /// Sequence of the last write made durable by a group commit.
     committed_seq: u64,
+    /// Sequence a [`IngestService::sync`] waits to see committed.
+    barrier_seq: u64,
+    /// Producers blocked on a full queue.
+    blocked: usize,
+    shutdown: bool,
     failed: Option<ShardFailure>,
+    /// The drain thread, once the shard's first write spawned it.
+    drainer: Option<JoinHandle<()>>,
+}
+
+impl ShardQueue {
+    /// Would a write of `len` bytes overflow the queue caps?
+    fn full(&self, cfg: &ServiceConfig, len: usize) -> bool {
+        self.queue.len() >= cfg.queue_ops || self.bytes + len > cfg.queue_bytes
+    }
+
+    /// Must the drain thread commit the queue now?
+    fn due(&self, cfg: &ServiceConfig) -> bool {
+        !self.queue.is_empty()
+            && (self.queue.len() >= cfg.batch_ops
+                || self.barrier_seq > self.committed_seq
+                || self.blocked > 0
+                || self.shutdown
+                || self.oldest.is_some_and(|t| t.elapsed() >= cfg.flush_interval))
+    }
 }
 
 struct Shard {
     state: Mutex<ShardQueue>,
+    /// The drain thread waits here for its queue to become due.
+    work: Condvar,
     /// Producers blocked on a full queue wait here.
     space: Condvar,
     /// Barrier waiters ([`IngestService::sync`]) wait here.
@@ -152,18 +191,8 @@ struct Shard {
     committed_ops: Counter,
 }
 
-/// Supervisor wake state: a generation counter so kicks are never lost
-/// between a producer's notify and the supervisor's wait.
-#[derive(Default)]
-struct WorkState {
-    kicks: u64,
-    shutdown: bool,
-}
-
 struct Inner {
     shards: Vec<Shard>,
-    work: Mutex<WorkState>,
-    work_cv: Condvar,
     metrics: Arc<PlfsMetrics>,
     cfg: ServiceConfig,
     enqueued_ops: Counter,
@@ -174,104 +203,69 @@ struct Inner {
 }
 
 impl Inner {
-    fn kick(&self) {
-        self.work.lock().unwrap().kicks += 1;
-        self.work_cv.notify_one();
-    }
-
     fn shard_err(failure: &ShardFailure) -> io::Error {
         io::Error::new(failure.0, failure.1.clone())
     }
 
-    /// Drain one shard: take the whole queue (freeing producers
-    /// immediately — the batch is already bounded by the queue caps),
-    /// apply every write with its enqueue-time stamp, then issue ONE
-    /// sync. That single index append + flush amortized over the batch
-    /// is the group commit.
-    fn drain(&self, idx: usize) {
-        let shard = &self.shards[idx];
-        let batch: Vec<QueuedWrite> = {
-            let mut st = shard.state.lock().unwrap();
-            if st.queue.is_empty() || st.failed.is_some() {
+    /// A shard's drain thread: sleep until the queue is due, take all
+    /// of it (freeing producers at once — the batch is already bounded
+    /// by the queue caps), group-commit it, repeat. Exits on shutdown
+    /// once the queue is empty, or on the shard's first failure.
+    fn run_drainer(&self, shard: &Shard) {
+        let mut st = shard.state.lock().unwrap();
+        loop {
+            if st.failed.is_some() || (st.shutdown && st.queue.is_empty()) {
                 return;
             }
-            st.bytes = 0;
-            shard.depth.set(0);
-            shard.depth_bytes.set(0);
-            let batch = std::mem::take(&mut st.queue).into();
-            shard.space.notify_all();
-            batch
-        };
-        let span = self.metrics.trace.start("svc.group_commit", Phase::Transfer, "svc", 0);
-        let last_seq = batch.last().map(|q| q.seq).unwrap_or(0);
-        let res = (|| -> io::Result<()> {
-            let mut guard = shard.writer.lock().unwrap();
-            let w = guard.as_mut().ok_or_else(|| {
-                io::Error::new(io::ErrorKind::BrokenPipe, "ingest service closed")
-            })?;
-            for q in &batch {
-                w.write_at_stamped(q.offset, &q.data, q.stamp)?;
-            }
-            w.sync()
-        })();
-        span.end();
-        let mut st = shard.state.lock().unwrap();
-        match res {
-            Ok(()) => {
-                st.committed_seq = st.committed_seq.max(last_seq);
-                shard.commits.inc();
-                shard.committed_ops.add(batch.len() as u64);
-                self.fanin.observe(batch.len() as u64);
-            }
-            Err(e) => {
-                // Sticky: the shard's writer state is unknown past the
-                // failure point, so everything after it must surface.
-                st.failed = Some((e.kind(), e.to_string()));
-                shard.space.notify_all();
-            }
-        }
-        shard.done.notify_all();
-    }
-
-    /// Shards with work queued (or a failure barrier waiters must see).
-    fn ready_shards(&self) -> Vec<usize> {
-        (0..self.shards.len())
-            .filter(|&i| {
-                let st = self.shards[i].state.lock().unwrap();
-                !st.queue.is_empty() && st.failed.is_none()
-            })
-            .collect()
-    }
-
-    fn supervise(self: &Arc<Self>) {
-        let mut seen_kicks = 0u64;
-        loop {
-            {
-                let mut ws = self.work.lock().unwrap();
-                while ws.kicks == seen_kicks && !ws.shutdown {
-                    let (next, timeout) =
-                        self.work_cv.wait_timeout(ws, self.cfg.flush_interval).unwrap();
-                    ws = next;
-                    if timeout.timed_out() {
-                        break;
+            if !st.due(&self.cfg) {
+                st = match st.oldest {
+                    Some(t) => {
+                        let left = self.cfg.flush_interval.saturating_sub(t.elapsed());
+                        shard.work.wait_timeout(st, left).unwrap().0
                     }
-                }
-                seen_kicks = ws.kicks;
-                if ws.shutdown {
-                    // Final pass below, then exit.
-                    drop(ws);
-                    let ready = self.ready_shards();
-                    let cap = self.cfg.drain_workers.min(ready.len().max(1));
-                    pool::run_bounded(ready.len(), cap, |i| self.drain(ready[i]));
-                    return;
-                }
-            }
-            let ready = self.ready_shards();
-            if ready.is_empty() {
+                    None => shard.work.wait(st).unwrap(),
+                };
                 continue;
             }
-            let cap = self.cfg.drain_workers.min(ready.len());
-            pool::run_bounded(ready.len(), cap, |i| self.drain(ready[i]));
+            st.bytes = 0;
+            st.oldest = None;
+            shard.depth.set(0);
+            shard.depth_bytes.set(0);
+            let batch: Vec<QueuedWrite> = std::mem::take(&mut st.queue).into();
+            shard.space.notify_all();
+            drop(st);
+            // The group commit: every write with its enqueue-time
+            // stamp, then ONE sync — one index append + flush
+            // amortized over the batch.
+            let span = self.metrics.trace.start("svc.group_commit", Phase::Transfer, "svc", 0);
+            let res = (|| {
+                let mut guard = shard.writer.lock().unwrap();
+                let w = guard.as_mut().ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::BrokenPipe, "ingest service closed")
+                })?;
+                for q in &batch {
+                    w.write_at_stamped(q.offset, &q.data, q.stamp)?;
+                }
+                w.sync()
+            })();
+            span.end();
+            st = shard.state.lock().unwrap();
+            match res {
+                Ok(()) => {
+                    st.committed_seq = batch.last().map_or(st.committed_seq, |q| q.seq);
+                    shard.commits.inc();
+                    shard.committed_ops.add(batch.len() as u64);
+                    self.fanin.observe(batch.len() as u64);
+                }
+                Err(e) => {
+                    // Sticky: the shard's writer state is unknown past
+                    // the failure point, so everything after it must
+                    // surface.
+                    st.failed = Some((e.kind(), e.to_string()));
+                    shard.space.notify_all();
+                }
+            }
+            shard.done.notify_all();
         }
     }
 }
@@ -280,16 +274,16 @@ impl Inner {
 /// module docs for the architecture and the durability contract.
 pub struct IngestService {
     inner: Arc<Inner>,
-    supervisor: Option<std::thread::JoinHandle<()>>,
 }
 
 impl IngestService {
     /// Open `shards` writers on `logical` (creating the container if
-    /// needed) and start the drain supervisor.
+    /// needed). No thread starts here: each shard's drain thread is
+    /// spawned by the first write it accepts.
     pub fn start(fs: &Plfs, logical: &str, cfg: ServiceConfig) -> io::Result<IngestService> {
         assert!(cfg.shards > 0, "need at least one shard");
         assert!(cfg.queue_ops > 0 && cfg.queue_bytes > 0, "queue caps must be positive");
-        assert!(cfg.batch_ops > 0 && cfg.drain_workers > 0, "batch/worker knobs must be positive");
+        assert!(cfg.batch_ops > 0, "batch size must be positive");
         let metrics = fs.metrics().clone();
         let reg = metrics.registry.clone();
         let mut shards = Vec::with_capacity(cfg.shards);
@@ -299,6 +293,7 @@ impl IngestService {
             let labels: &[(&str, &str)] = &[("shard", &sl)];
             shards.push(Shard {
                 state: Mutex::new(ShardQueue::default()),
+                work: Condvar::new(),
                 space: Condvar::new(),
                 done: Condvar::new(),
                 writer: Mutex::new(Some(writer)),
@@ -311,8 +306,6 @@ impl IngestService {
         }
         let inner = Arc::new(Inner {
             shards,
-            work: Mutex::new(WorkState::default()),
-            work_cv: Condvar::new(),
             metrics,
             enqueued_ops: reg.counter("svc.enqueued_ops"),
             enqueued_bytes: reg.counter("svc.enqueued_bytes"),
@@ -321,22 +314,11 @@ impl IngestService {
             fanin: reg.histogram("svc.commit.fanin"),
             cfg,
         });
-        let sup = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("plfs-ingest-supervisor".into())
-                .spawn(move || inner.supervise())
-                .map_err(|e| io::Error::other(format!("spawning supervisor: {e}")))?
-        };
-        Ok(IngestService { inner, supervisor: Some(sup) })
+        Ok(IngestService { inner })
     }
 
     pub fn config(&self) -> &ServiceConfig {
         &self.inner.cfg
-    }
-
-    fn shard_of(&self, client: u32) -> usize {
-        client as usize % self.inner.cfg.shards
     }
 
     /// Accept one write from `client`. Returns once the write is queued
@@ -344,28 +326,33 @@ impl IngestService {
     /// the module docs); blocks while the client's shard queue is full.
     pub fn write(&self, client: u32, offset: u64, data: &[u8]) -> io::Result<()> {
         let inner = &self.inner;
-        let shard = &inner.shards[self.shard_of(client)];
+        let idx = client as usize % inner.cfg.shards;
+        let shard = &inner.shards[idx];
         let cfg = &inner.cfg;
         let mut st = shard.state.lock().unwrap();
-        if st.failed.is_none()
-            && (st.queue.len() >= cfg.queue_ops || st.bytes + data.len() > cfg.queue_bytes)
-        {
-            // Backpressure: block rather than buffer without bound. The
-            // periodic re-kick guards against a supervisor that went to
-            // sleep between our check and its last scan.
+        if st.failed.is_none() && st.full(cfg, data.len()) {
+            // Backpressure: block rather than buffer without bound. A
+            // blocked producer is itself a reason to drain.
             shard.stalls.inc();
             let t0 = Instant::now();
-            while st.failed.is_none()
-                && (st.queue.len() >= cfg.queue_ops || st.bytes + data.len() > cfg.queue_bytes)
-            {
-                inner.kick();
-                let (next, _) = shard.space.wait_timeout(st, cfg.flush_interval).unwrap();
-                st = next;
+            st.blocked += 1;
+            shard.work.notify_one();
+            while st.failed.is_none() && st.full(cfg, data.len()) {
+                st = shard.space.wait(st).unwrap();
             }
+            st.blocked -= 1;
             inner.stall_ns.add(t0.elapsed().as_nanos() as u64);
         }
         if let Some(f) = &st.failed {
             return Err(Inner::shard_err(f));
+        }
+        if st.drainer.is_none() {
+            let inner = Arc::clone(inner);
+            let drainer = thread::Builder::new()
+                .name(format!("plfs-ingest-{idx}"))
+                .spawn(move || inner.run_drainer(&inner.shards[idx]))
+                .map_err(|e| io::Error::other(format!("spawning drain thread: {e}")))?;
+            st.drainer = Some(drainer);
         }
         // Stamp at enqueue: overwrite order across shards follows the
         // order clients issued writes, not the order shards drain.
@@ -373,16 +360,21 @@ impl IngestService {
         st.enqueued_seq += 1;
         let seq = st.enqueued_seq;
         st.bytes += data.len();
+        if st.queue.is_empty() {
+            st.oldest = Some(Instant::now());
+        }
         st.queue.push_back(QueuedWrite { offset, data: data.to_vec(), stamp, seq });
         let (depth, bytes) = (st.queue.len(), st.bytes);
-        let ready = depth >= cfg.batch_ops;
         drop(st);
         shard.depth.set(depth as i64);
         shard.depth_bytes.set(bytes as i64);
         inner.enqueued_ops.inc();
         inner.enqueued_bytes.add(data.len() as u64);
-        if ready {
-            inner.kick();
+        // The first write arms the straggler deadline; a full batch is
+        // due now. Later writes need no wake-up: the drain thread
+        // re-checks its queue before it sleeps.
+        if depth == 1 || depth == cfg.batch_ops {
+            shard.work.notify_one();
         }
         Ok(())
     }
@@ -394,18 +386,25 @@ impl IngestService {
         let inner = &self.inner;
         inner.barriers.inc();
         let span = inner.metrics.trace.start("svc.sync", Phase::Compute, "svc", 0);
-        let targets: Vec<u64> =
-            inner.shards.iter().map(|s| s.state.lock().unwrap().enqueued_seq).collect();
-        inner.kick();
+        // Post every shard's target before waiting on any, so the
+        // shards commit in parallel.
+        let targets: Vec<u64> = inner
+            .shards
+            .iter()
+            .map(|shard| {
+                let mut st = shard.state.lock().unwrap();
+                if st.enqueued_seq > st.committed_seq {
+                    st.barrier_seq = st.enqueued_seq;
+                    shard.work.notify_one();
+                }
+                st.enqueued_seq
+            })
+            .collect();
         let mut res = Ok(());
         for (shard, &target) in inner.shards.iter().zip(&targets) {
             let mut st = shard.state.lock().unwrap();
             while st.committed_seq < target && st.failed.is_none() {
-                // Re-kick on every timeout: a kick is cheap, a missed
-                // wakeup would hang the barrier.
-                inner.kick();
-                let (next, _) = shard.done.wait_timeout(st, inner.cfg.flush_interval).unwrap();
-                st = next;
+                st = shard.done.wait(st).unwrap();
             }
             if let (Ok(()), Some(f)) = (&res, &st.failed) {
                 res = Err(Inner::shard_err(f));
@@ -436,11 +435,11 @@ impl IngestService {
         }
     }
 
-    /// Final barrier, then shut down: stop the supervisor and close
+    /// Final barrier, then shut down: stop the drain threads and close
     /// every shard writer (leaving meta droppings). Returns the final
     /// stats; the first barrier/close error surfaces after shutdown
     /// completes either way.
-    pub fn close(mut self) -> io::Result<ServiceStats> {
+    pub fn close(self) -> io::Result<ServiceStats> {
         let mut res = self.sync();
         self.shutdown();
         for shard in &self.inner.shards {
@@ -456,23 +455,31 @@ impl IngestService {
         res.map(|()| self.stats())
     }
 
-    fn shutdown(&mut self) {
-        if let Some(h) = self.supervisor.take() {
-            {
-                let mut ws = self.inner.work.lock().unwrap();
-                ws.shutdown = true;
-                ws.kicks += 1;
-            }
-            self.inner.work_cv.notify_one();
-            let _ = h.join();
+    /// Tell every drain thread to commit what is queued and exit, then
+    /// join them all.
+    fn shutdown(&self) {
+        let drainers: Vec<JoinHandle<()>> = self
+            .inner
+            .shards
+            .iter()
+            .filter_map(|shard| {
+                let mut st = shard.state.lock().unwrap();
+                st.shutdown = true;
+                shard.work.notify_one();
+                st.drainer.take()
+            })
+            .collect();
+        for drainer in drainers {
+            let _ = drainer.join();
         }
     }
 }
 
 impl Drop for IngestService {
     fn drop(&mut self) {
-        // Best-effort: stop the supervisor; writers flush on their own
-        // Drop. Errors surface only on explicit sync/close.
+        // Best-effort: the drain threads commit what is queued and
+        // exit; writers flush on their own Drop. Errors surface only on
+        // explicit sync/close.
         self.shutdown();
     }
 }
@@ -558,24 +565,71 @@ mod tests {
 
     #[test]
     fn backpressure_blocks_instead_of_growing() {
+        // The 1 h run puts the straggler timer out of reach: only state
+        // wake-ups (a full batch, a blocked producer) can free the
+        // producer.
+        for flush_interval in [ServiceConfig::default().flush_interval, Duration::from_secs(3600)] {
+            let reg = Registry::new();
+            let fs = service_fs(&reg);
+            let svc = IngestService::start(
+                &fs,
+                "/bp",
+                ServiceConfig {
+                    shards: 1,
+                    queue_ops: 8,
+                    batch_ops: 8,
+                    flush_interval,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            // Far more writes than the queue holds: every one must be
+            // accepted (blocking, not erroring), and the stall counter
+            // must show the queue actually filled.
+            for i in 0..512u64 {
+                svc.write(0, i * 64, &[2u8; 64]).unwrap();
+            }
+            let stats = svc.close().unwrap();
+            assert_eq!(stats.committed_ops, 512);
+            assert!(stats.backpressure_stalls > 0, "queue of 8 never filled under 512 writes");
+            assert_eq!(fs.open_reader("/bp").unwrap().read_all().unwrap().len(), 512 * 64);
+        }
+    }
+
+    #[test]
+    fn straggler_commits_after_flush_interval_without_sync() {
         let reg = Registry::new();
         let fs = service_fs(&reg);
         let svc = IngestService::start(
             &fs,
-            "/bp",
-            ServiceConfig { shards: 1, queue_ops: 8, batch_ops: 8, ..Default::default() },
+            "/late",
+            ServiceConfig {
+                shards: 1,
+                batch_ops: 1 << 30,
+                flush_interval: Duration::from_millis(5),
+                ..Default::default()
+            },
         )
         .unwrap();
-        // Far more writes than the queue holds: every one must be
-        // accepted (blocking, not erroring), and the stall counter must
-        // show the queue actually filled.
-        for i in 0..512u64 {
-            svc.write(0, i * 64, &[2u8; 64]).unwrap();
+        svc.write(0, 0, &[6u8; 100]).unwrap();
+        let t0 = Instant::now();
+        while svc.stats().committed_ops == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(30), "straggler never committed");
+            std::thread::sleep(Duration::from_millis(1));
         }
+        assert_eq!(svc.stats().group_commits, 1);
+        assert_eq!(fs.open_reader("/late").unwrap().read_all().unwrap(), vec![6u8; 100]);
+        svc.close().unwrap();
+    }
+
+    #[test]
+    fn close_without_writes_is_ok() {
+        let reg = Registry::new();
+        let fs = service_fs(&reg);
+        let svc = IngestService::start(&fs, "/idle", ServiceConfig::default()).unwrap();
         let stats = svc.close().unwrap();
-        assert_eq!(stats.committed_ops, 512);
-        assert!(stats.backpressure_stalls > 0, "queue of 8 never filled under 512 writes");
-        assert_eq!(fs.open_reader("/bp").unwrap().read_all().unwrap().len(), 512 * 64);
+        assert_eq!(stats.enqueued_ops, 0);
+        assert_eq!(stats.group_commits, 0);
     }
 
     #[test]

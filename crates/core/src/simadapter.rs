@@ -91,13 +91,15 @@ pub fn run_plfs(mut cluster_cfg: ClusterConfig, pattern: &Pattern) -> PhaseRepor
         for &(_, len) in ops {
             buffered += len;
             index_entries += 1;
-            if buffered >= data_buffer {
+            // Data before index: an index flush lands staged data first.
+            let index_full = index_entries >= index_flush_every;
+            if buffered >= data_buffer || (index_full && buffered > 0) {
                 v.push(Op::Write { file: data_file, offset: cursor, len: buffered });
                 k.push("plfs.data_append");
                 cursor += buffered;
                 buffered = 0;
             }
-            if index_entries >= index_flush_every {
+            if index_full {
                 index_appends += 1;
                 index_entries = 0;
             }

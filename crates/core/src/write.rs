@@ -348,7 +348,10 @@ impl Writer {
         Ok(())
     }
 
+    /// Land the queued index entries, after the data they point at: no
+    /// index record may reach the store before its bytes.
     fn flush_index(&mut self, parent: u64) -> io::Result<()> {
+        self.flush_data(parent)?;
         self.index.pending.extend_from_slice(&encode_compressed(&self.pending_index));
         self.pending_index.clear();
         if self.index.pending.is_empty() {
@@ -400,7 +403,6 @@ impl Writer {
         let span = self.metrics.trace.start("plfs.sync", Phase::Compute, &self.track(), 0);
         let id = span.id();
         let res = (|| {
-            self.flush_data(id)?;
             self.flush_index(id)?;
             let chk =
                 self.metrics.trace.start("plfs.chk_append", Phase::Transfer, &self.track(), id);
@@ -615,6 +617,39 @@ mod tests {
         w2.close().unwrap();
         assert_sidecar_covers(&b, &p.chk_dropping(0), &p.data_dropping(0));
         assert_sidecar_covers(&b, &p.index_chk_dropping(0), &p.index_dropping(0));
+    }
+
+    /// With the default config, small writes fill the index queue long
+    /// before the data buffer. The index flush must land the staged
+    /// data first, or its extents name bytes that are not on the store.
+    #[test]
+    fn index_flush_lands_data_first() {
+        use crate::filesystem::{Plfs, PlfsConfig};
+        use crate::fsck::{fsck, FsckError};
+        let b = Arc::new(MemBackend::new());
+        let cfg = PlfsConfig::default();
+        let hostdirs = cfg.hostdirs;
+        let fs = Plfs::new(b.clone() as Arc<dyn Backend>, cfg);
+        let mut w = fs.open_writer("/f", 0).unwrap();
+        let n = WriterConfig::default().index_flush_every as u64;
+        for i in 0..n {
+            w.write_at(i * 64, &[(i % 251) as u8; 64]).unwrap();
+        }
+        // No sync: only the index threshold has flushed anything.
+        let report = fsck(b.as_ref(), "/f", hostdirs).unwrap();
+        assert!(
+            report.errors.len() == 1
+                && matches!(report.errors[0], FsckError::StaleOpenSession { .. }),
+            "expected only the open session, got {} errors, first {:?}",
+            report.errors.len(),
+            &report.errors[..report.errors.len().min(3)],
+        );
+        let data = fs.open_reader("/f").unwrap().read_all().unwrap();
+        assert_eq!(data.len(), 262_144);
+        for (i, rec) in data.chunks(64).enumerate() {
+            assert!(rec.iter().all(|&x| x == (i % 251) as u8), "record {i}");
+        }
+        w.close().unwrap();
     }
 
     #[test]

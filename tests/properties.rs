@@ -183,6 +183,16 @@ impl AckedModel {
     }
 }
 
+/// Under crash-stop, data lands before the index records that point at
+/// it, so a crash can leave orphaned data but never a dangling extent.
+fn assert_no_dangling_extent(report: &fsck::RepairReport, ctx: &str) {
+    assert!(
+        !report.before.errors.iter().any(|e| matches!(e, fsck::FsckError::DanglingExtent { .. })),
+        "{ctx}: an index record reached the store before its data: {:?}",
+        report.before.errors
+    );
+}
+
 /// Deterministic multi-writer workload over a faulty backend, staging
 /// `data_buffer` bytes per data append (0 = write-through). Returns the
 /// acked model at the moment the backend froze.
@@ -272,6 +282,7 @@ fn crash_repair_preserves_acked_data_at_every_boundary() {
             let report =
                 fsck::repair(faulty.as_ref(), "/f", 2, &fsck::RepairOptions::default()).unwrap();
             let tag = format!("buffer {data_buffer} crash@{crash_after}");
+            assert_no_dangling_extent(&report, &format!("seed {seed} {tag}"));
             assert!(
                 report.after.is_clean(),
                 "seed {seed} {tag}: repair left errors {:?}",
@@ -485,6 +496,7 @@ fn strided_four_rank_crash_sweep_preserves_per_rank_acked_data() {
             faulty.heal();
             let report =
                 fsck::repair(faulty.as_ref(), "/f", 2, &fsck::RepairOptions::default()).unwrap();
+            assert_no_dangling_extent(&report, &format!("seed {seed} crash@{crash_after}"));
             assert!(
                 report.after.is_clean(),
                 "seed {seed} crash@{crash_after}: repair left errors {:?}",
@@ -579,6 +591,7 @@ fn service_crash_sweep_preserves_barriered_data() {
             faulty.heal();
             let report =
                 fsck::repair(faulty.as_ref(), "/f", 2, &fsck::RepairOptions::default()).unwrap();
+            assert_no_dangling_extent(&report, &format!("seed {seed} service crash@{crash_after}"));
             assert!(
                 report.after.is_clean(),
                 "seed {seed} service crash@{crash_after}: repair left errors {:?}",
