@@ -24,7 +24,10 @@
 //!   path additionally recomputes the SHA-256 and compares it with the
 //!   digest in the file's manifest — verify-on-digest, end to end.
 //! - **Compression.** Chunk payloads are RLE-compressed when that wins,
-//!   stored raw otherwise (negotiated per blob via the codec byte).
+//!   stored raw otherwise (negotiated per blob via the codec byte). The
+//!   encoded size is measured before any RLE body is built, so a chunk
+//!   that stays raw costs one word-at-a-time scan for runs and no
+//!   encoded copy.
 //!
 //! What the inner backend sees for a "file" is its **manifest**: a flat
 //! sequence of `(length, digest)` records, appended in the same order
@@ -277,40 +280,70 @@ const MAX_RUN: usize = 0x7F + MIN_RUN; // tag 0x80..=0xFF → run length
 /// times. Checkpoint pages full of zeros (or any repeated fill)
 /// collapse ~128:1; incompressible data grows slightly, so the blob
 /// encoder falls back to storing raw whenever RLE does not win.
-fn rle_compress(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 8);
-    let mut lit_start = 0usize;
-    let mut i = 0usize;
-    while i < data.len() {
-        let b = data[i];
-        let mut run = 1usize;
-        while run < MAX_RUN && i + run < data.len() && data[i + run] == b {
-            run += 1;
+///
+/// The encoder is greedy: every stretch of at least `MIN_RUN` equal
+/// bytes becomes run tokens of at most `MAX_RUN`, and everything
+/// between them literal blocks of at most `MAX_LITERAL`.
+fn rle_compress(data: &[u8], out: &mut Vec<u8>) {
+    rle_walk(data, |lit, run| {
+        for block in lit.chunks(MAX_LITERAL) {
+            out.push((block.len() - 1) as u8);
+            out.extend_from_slice(block);
         }
-        if run >= MIN_RUN {
-            let mut lit = &data[lit_start..i];
-            while !lit.is_empty() {
-                let take = lit.len().min(MAX_LITERAL);
-                out.push((take - 1) as u8);
-                out.extend_from_slice(&lit[..take]);
-                lit = &lit[take..];
-            }
-            out.push((0x80 + (run - MIN_RUN)) as u8);
-            out.push(b);
-            i += run;
-            lit_start = i;
-        } else {
-            i += run;
+        if let Some((fill, len)) = run {
+            out.extend_from_slice(&[(0x80 + (len - MIN_RUN)) as u8, fill]);
         }
+    });
+}
+
+/// Bytes [`rle_compress`] would emit for `data`, without emitting them.
+fn rle_len(data: &[u8]) -> usize {
+    let mut len = 0;
+    rle_walk(data, |lit, run| {
+        len += lit.len() + lit.len().div_ceil(MAX_LITERAL) + if run.is_some() { 2 } else { 0 };
+    });
+    len
+}
+
+/// The greedy token walk shared by [`rle_compress`] and [`rle_len`]:
+/// `emit` gets the literal stretch before each run (possibly empty)
+/// with that run's `(fill, len)`, and finally the trailing literals
+/// with `None`.
+fn rle_walk(data: &[u8], mut emit: impl FnMut(&[u8], Option<(u8, usize)>)) {
+    let mut i = 0;
+    while let Some(p) = find_run(data, i) {
+        let fill = data[p];
+        let len = data[p..].iter().take(MAX_RUN).take_while(|&&b| b == fill).count();
+        emit(&data[i..p], Some((fill, len)));
+        i = p + len;
     }
-    let mut lit = &data[lit_start..];
-    while !lit.is_empty() {
-        let take = lit.len().min(MAX_LITERAL);
-        out.push((take - 1) as u8);
-        out.extend_from_slice(&lit[..take]);
-        lit = &lit[take..];
+    emit(&data[i..], None);
+}
+
+/// The first position at or after `from` where `MIN_RUN` (4) equal
+/// bytes start. Word at a time: XOR-ing a little-endian load with
+/// itself shifted by 1, 2 and 3 bytes leaves lane `k` zero exactly when
+/// bytes `k..k + 4` are equal, for the 5 lanes whose four bytes lie
+/// inside the load; the has-zero-byte test finds the lowest such lane
+/// (its false positives only ever sit above a true zero).
+fn find_run(data: &[u8], from: usize) -> Option<usize> {
+    const LANES: usize = 5; // 8 - (MIN_RUN - 1)
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    // Lanes past `LANES` would compare against bytes beyond the load.
+    const OUTSIDE: u64 = !0 << (8 * LANES);
+    let mut p = from;
+    while let Some(word) = data.get(p..p + 8) {
+        let w = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
+        let diff = (w ^ (w >> 8)) | (w ^ (w >> 16)) | (w ^ (w >> 24)) | OUTSIDE;
+        let zero = diff.wrapping_sub(ONES) & !diff & HIGHS;
+        if zero != 0 {
+            return Some(p + zero.trailing_zeros() as usize / 8);
+        }
+        p += LANES;
     }
-    out
+    let end = (data.len() + 1).saturating_sub(MIN_RUN);
+    (p..end).find(|&q| data[q + 1..q + MIN_RUN].iter().all(|&b| b == data[q]))
 }
 
 fn rle_decompress(mut body: &[u8], expect: usize) -> io::Result<Vec<u8>> {
@@ -354,17 +387,21 @@ pub const BLOB_HEADER_BYTES: usize = 18;
 /// Encode one chunk as a pool blob: self-describing header + payload in
 /// whichever codec is smaller (compression negotiation is per blob —
 /// readers honor the codec byte, so future codecs only need a new tag).
+/// The RLE body is sized first and built only when it is the smaller.
 fn encode_blob(plain: &[u8]) -> Vec<u8> {
-    let rle = rle_compress(plain);
-    let (codec, payload) =
-        if rle.len() < plain.len() { (CODEC_RLE, &rle[..]) } else { (CODEC_RAW, plain) };
-    let mut v = Vec::with_capacity(BLOB_HEADER_BYTES + payload.len());
+    let rle_len = rle_len(plain);
+    let rle = rle_len < plain.len();
+    let mut v = Vec::with_capacity(BLOB_HEADER_BYTES + rle_len.min(plain.len()));
     v.extend_from_slice(BLOB_MAGIC);
     v.push(BLOB_VERSION);
-    v.push(codec);
+    v.push(if rle { CODEC_RLE } else { CODEC_RAW });
     v.extend_from_slice(&(plain.len() as u32).to_le_bytes());
     v.extend_from_slice(&crc32(plain).to_le_bytes());
-    v.extend_from_slice(payload);
+    if rle {
+        rle_compress(plain, &mut v);
+    } else {
+        v.extend_from_slice(plain);
+    }
     v
 }
 
@@ -968,15 +1005,118 @@ mod tests {
 
     // ------------------------------------------------------------- rle
 
+    fn rle(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        rle_compress(data, &mut out);
+        out
+    }
+
+    /// The bytewise greedy encoder the word-at-a-time one replaced: the
+    /// reference its token stream must match byte for byte.
+    fn rle_reference(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(data.len() / 2 + 8);
+        let mut lit_start = 0usize;
+        let mut i = 0usize;
+        while i < data.len() {
+            let b = data[i];
+            let mut run = 1usize;
+            while run < MAX_RUN && i + run < data.len() && data[i + run] == b {
+                run += 1;
+            }
+            if run >= MIN_RUN {
+                let mut lit = &data[lit_start..i];
+                while !lit.is_empty() {
+                    let take = lit.len().min(MAX_LITERAL);
+                    out.push((take - 1) as u8);
+                    out.extend_from_slice(&lit[..take]);
+                    lit = &lit[take..];
+                }
+                out.push((0x80 + (run - MIN_RUN)) as u8);
+                out.push(b);
+                i += run;
+                lit_start = i;
+            } else {
+                i += run;
+            }
+        }
+        let mut lit = &data[lit_start..];
+        while !lit.is_empty() {
+            let take = lit.len().min(MAX_LITERAL);
+            out.push((take - 1) as u8);
+            out.extend_from_slice(&lit[..take]);
+            lit = &lit[take..];
+        }
+        out
+    }
+
+    /// The encoder, its size pass and the blob codec choice all agree
+    /// with the reference encoder.
+    fn assert_rle_matches_reference(data: &[u8], what: &str) {
+        let want = rle_reference(data);
+        assert_eq!(rle(data), want, "{what}");
+        assert_eq!(rle_len(data), want.len(), "{what}");
+        let blob = encode_blob(data);
+        let (codec, payload) =
+            if want.len() < data.len() { (CODEC_RLE, &want[..]) } else { (CODEC_RAW, data) };
+        assert_eq!(blob[9], codec, "{what}");
+        assert_eq!(&blob[BLOB_HEADER_BYTES..], payload, "{what}");
+        assert_eq!(decode_blob(&blob).unwrap(), data, "{what}");
+    }
+
+    #[test]
+    fn rle_matches_the_bytewise_reference() {
+        // Every short length at every word alignment, over bytes drawn
+        // from a 3-letter alphabet so runs of every length up to ~8
+        // occur at every lane of a load.
+        let mut z = 0xA11CE5u64;
+        let small: Vec<u8> = (0..8 + 300).map(|_| (splitmix64(&mut z) % 3) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=300 {
+                assert_rle_matches_reference(&small[start..start + len], "short");
+            }
+        }
+        // One run of each edge length at the start, middle and end of a
+        // buffer of distinct neighbours.
+        let background: Vec<u8> = (0..400u32).map(|i| (i % 251) as u8 + 1).collect();
+        for run in [1, 3, 4, 5, 130, 131, 132, 263] {
+            for at in [0, 137, 400 - run] {
+                let mut data = background.clone();
+                data[at..at + run].fill(0);
+                assert_rle_matches_reference(&data, &format!("run {run} at {at}"));
+            }
+        }
+        // Short runs ending at every byte of two words, among them
+        // exactly at the 8-byte boundary (end 16), so a run ends on
+        // every lane of a load and just past it.
+        for end in 8..=24 {
+            for run in [4, 5, 8] {
+                let mut data = background[..40].to_vec();
+                data[end - run..end].fill(0xEE);
+                assert_rle_matches_reference(&data, &format!("run {run} ending at {end}"));
+            }
+        }
+        // Seeded noise, and half-zero buffers whose runs start at
+        // random places, up to 70 000 B.
+        for seed in 0..12u64 {
+            let mut z = seed;
+            let len = (splitmix64(&mut z) % 70_000) as usize;
+            let noise: Vec<u8> = (0..len).map(|_| splitmix64(&mut z) as u8).collect();
+            assert_rle_matches_reference(&noise, &format!("noise seed {seed}"));
+            let half: Vec<u8> = noise.iter().map(|&b| if b & 1 == 0 { 0 } else { b }).collect();
+            assert_rle_matches_reference(&half, &format!("half-zero seed {seed}"));
+        }
+        assert_rle_matches_reference(&vec![0u8; 70_000], "zeros");
+    }
+
     #[test]
     fn rle_roundtrips_and_wins_on_runs() {
         for seed in 0..20u64 {
             let data = patterned(3000, seed);
-            let c = rle_compress(&data);
+            let c = rle(&data);
             assert_eq!(rle_decompress(&c, data.len()).unwrap(), data, "seed {seed}");
         }
         let zeros = vec![0u8; 4096];
-        let c = rle_compress(&zeros);
+        let c = rle(&zeros);
         assert!(c.len() < zeros.len() / 16, "runs must collapse, got {}", c.len());
         // Incompressible data must not be forced through RLE.
         let noise: Vec<u8> = (0..1024u64).map(|i| splitmix64(&mut { i }) as u8).collect();

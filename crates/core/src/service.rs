@@ -71,7 +71,8 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// Per-shard queue cap in ops; a full queue blocks producers.
     pub queue_ops: usize,
-    /// Per-shard queue cap in bytes.
+    /// Per-shard queue cap in bytes. An empty queue admits any one
+    /// write, so a write larger than the cap is queued alone.
     pub queue_bytes: usize,
     /// Drain a shard as soon as this many ops are queued (the
     /// batch-size half of the group-commit policy).
@@ -158,9 +159,12 @@ struct ShardQueue {
 }
 
 impl ShardQueue {
-    /// Would a write of `len` bytes overflow the queue caps?
+    /// Would a write of `len` bytes overflow the queue caps? An empty
+    /// queue admits any write: a write larger than `queue_bytes` could
+    /// never fit otherwise, and the drain thread has nothing to free.
     fn full(&self, cfg: &ServiceConfig, len: usize) -> bool {
-        self.queue.len() >= cfg.queue_ops || self.bytes + len > cfg.queue_bytes
+        !self.queue.is_empty()
+            && (self.queue.len() >= cfg.queue_ops || self.bytes + len > cfg.queue_bytes)
     }
 
     /// Must the drain thread commit the queue now?
@@ -594,6 +598,31 @@ mod tests {
             assert!(stats.backpressure_stalls > 0, "queue of 8 never filled under 512 writes");
             assert_eq!(fs.open_reader("/bp").unwrap().read_all().unwrap().len(), 512 * 64);
         }
+    }
+
+    #[test]
+    fn write_larger_than_the_byte_cap_is_admitted() {
+        // A hang is the failure mode, so the body runs on its own
+        // thread and the test fails when it does not finish in time.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let body = std::thread::spawn(move || {
+            let reg = Registry::new();
+            let fs = service_fs(&reg);
+            let cfg = ServiceConfig { shards: 1, queue_bytes: 1024, ..Default::default() };
+            let svc = IngestService::start(&fs, "/big", cfg).unwrap();
+            svc.write(0, 0, &[7u8; 2048]).unwrap();
+            svc.write(0, 2048, &[8u8; 2048]).unwrap();
+            let stats = svc.close().unwrap();
+            let data = fs.open_reader("/big").unwrap().read_all().unwrap();
+            tx.send((stats.committed_ops, data)).unwrap();
+        });
+        let (committed, data) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("two writes over queue_bytes did not complete in 30 s");
+        body.join().unwrap();
+        assert_eq!(committed, 2);
+        assert_eq!(data.len(), 4096);
+        assert!(data[..2048].iter().all(|&x| x == 7) && data[2048..].iter().all(|&x| x == 8));
     }
 
     #[test]

@@ -604,6 +604,25 @@ mod tests {
         assert_sidecar_covers(&b, &p.index_chk_dropping(0), &p.index_dropping(0));
     }
 
+    /// Several buffered flushes, then close: every byte lands once, in
+    /// order, and both sidecars cover it with matching CRCs.
+    #[test]
+    fn buffered_flushes_land_and_cover_every_byte() {
+        let (b, p, m) = setup();
+        let cfg = WriterConfig { data_buffer: 5000, ..Default::default() };
+        let mut w = writer(&b, &p, &m, 0, cfg.clone());
+        let total = 3 * cfg.data_buffer + 17;
+        let bytes: Vec<u8> = (0..total).map(|i| (i * 7 + i / 251) as u8).collect();
+        for (k, piece) in bytes.chunks(777).enumerate() {
+            w.write_at((k * 777) as u64, piece).unwrap();
+        }
+        assert!(w.stats().data_appends >= 2, "expected several flushes before close");
+        w.close().unwrap();
+        assert_eq!(b.read_all(&p.data_dropping(0)).unwrap(), bytes);
+        assert_sidecar_covers(&b, &p.chk_dropping(0), &p.data_dropping(0));
+        assert_sidecar_covers(&b, &p.index_chk_dropping(0), &p.index_dropping(0));
+    }
+
     #[test]
     fn reopen_rebuilds_sidecars_over_all_sessions() {
         let (b, p, m) = setup();
