@@ -183,6 +183,19 @@ fn not_found(path: &str) -> io::Error {
 }
 
 /// In-memory backend for tests and fast experiments.
+///
+/// Each file is stored as fixed-size segments of `SEG` (1 MiB) bytes:
+/// the first segment lives inline in the file record and grows like a
+/// `Vec` up to `SEG`; every later one is allocated once with capacity
+/// exactly `SEG` and never moves. An append therefore copies only the
+/// bytes it adds. One `Vec<u8>` per file would instead realloc-copy the
+/// whole file at every doubling and fault in fresh pages each time, so
+/// the cost of an append into a large dropping would measure the heap
+/// rather than the caller. Small files (blobs, manifests, index
+/// droppings) stay in their one inline segment and cost no more
+/// allocations than a plain `Vec`. Keys are `Box<str>` and the later
+/// segments hang off one boxed pointer, so a file's map entry is no
+/// larger than a `String` key plus a `Vec<u8>`.
 #[derive(Default)]
 pub struct MemBackend {
     inner: Mutex<MemState>,
@@ -190,8 +203,84 @@ pub struct MemBackend {
 
 #[derive(Default)]
 struct MemState {
-    files: HashMap<String, Vec<u8>>,
-    dirs: HashMap<String, ()>,
+    files: HashMap<Box<str>, MemFile>,
+    dirs: HashMap<Box<str>, ()>,
+}
+
+/// Bytes per segment of a [`MemBackend`] file.
+const SEG: usize = 1 << 20;
+
+/// One file of a [`MemBackend`]: every segment but the last is exactly
+/// `SEG` bytes long, so a byte offset maps to its segment by division.
+#[derive(Default)]
+struct MemFile {
+    /// Segment 0, grown in place; never past capacity `SEG`.
+    head: Vec<u8>,
+    /// Segments 1.., each allocated with capacity `SEG`; boxed, so a
+    /// file that never passes `SEG` pays one null pointer for them.
+    // The extra allocation this lint warns of is made only past `SEG`;
+    // the box keeps every smaller file's record 16 bytes narrower.
+    #[allow(clippy::box_collection)]
+    rest: Option<Box<Vec<Vec<u8>>>>,
+}
+
+impl MemFile {
+    fn rest(&self) -> &[Vec<u8>] {
+        self.rest.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    fn len(&self) -> usize {
+        let rest = self.rest();
+        match rest.last() {
+            None => self.head.len(),
+            Some(last) => SEG * rest.len() + last.len(),
+        }
+    }
+
+    fn segment(&self, i: usize) -> &[u8] {
+        if i == 0 {
+            &self.head
+        } else {
+            &self.rest()[i - 1]
+        }
+    }
+
+    fn append(&mut self, mut data: &[u8]) {
+        while !data.is_empty() {
+            let seg = match &mut self.rest {
+                None if self.head.len() < SEG => &mut self.head,
+                rest => {
+                    let rest = rest.get_or_insert_with(Box::default);
+                    if rest.last().is_none_or(|s| s.len() == SEG) {
+                        rest.push(Vec::with_capacity(SEG));
+                    }
+                    rest.last_mut().expect("a segment was just pushed")
+                }
+            };
+            let n = data.len().min(SEG - seg.len());
+            // Past half a segment, a doubling `Vec` would overshoot `SEG`
+            // (47 008 B records double to 1 504 256 B): grow to `SEG` at once.
+            if seg.len() + n > seg.capacity().max(SEG / 2) {
+                seg.reserve_exact(SEG - seg.len());
+            }
+            seg.extend_from_slice(&data[..n]);
+            data = &data[n..];
+        }
+    }
+
+    /// Fills `buf` from `off` up to EOF; returns the bytes copied.
+    fn read_at(&self, off: usize, buf: &mut [u8]) -> usize {
+        let n = buf.len().min(self.len().saturating_sub(off));
+        let mut done = 0;
+        while done < n {
+            let pos = off + done;
+            let seg = &self.segment(pos / SEG)[pos % SEG..];
+            let k = seg.len().min(n - done);
+            buf[done..done + k].copy_from_slice(&seg[..k]);
+            done += k;
+        }
+        n
+    }
 }
 
 fn norm(path: &str) -> String {
@@ -206,6 +295,15 @@ fn norm(path: &str) -> String {
     out
 }
 
+/// The key prefix every path under `dir` starts with (`"/"` for the root).
+fn dir_prefix(dir: &str) -> String {
+    let mut p = norm(dir);
+    if !p.ends_with('/') {
+        p.push('/');
+    }
+    p
+}
+
 impl MemBackend {
     pub fn new() -> Self {
         MemBackend::default()
@@ -213,7 +311,7 @@ impl MemBackend {
 
     /// Total bytes stored (test introspection).
     pub fn total_bytes(&self) -> u64 {
-        self.inner.lock().unwrap().files.values().map(|v| v.len() as u64).sum()
+        self.inner.lock().unwrap().files.values().map(|f| f.len() as u64).sum()
     }
 
     /// Number of files stored.
@@ -230,13 +328,13 @@ impl Backend for MemBackend {
         for comp in p.split('/').filter(|c| !c.is_empty()) {
             acc.push('/');
             acc.push_str(comp);
-            st.dirs.insert(acc.clone(), ());
+            st.dirs.insert(acc.as_str().into(), ());
         }
         Ok(())
     }
 
     fn create(&self, path: &str) -> io::Result<()> {
-        self.inner.lock().unwrap().files.insert(norm(path), Vec::new());
+        self.inner.lock().unwrap().files.insert(norm(path).into(), MemFile::default());
         Ok(())
     }
 
@@ -244,50 +342,39 @@ impl Backend for MemBackend {
     fn create_new(&self, path: &str) -> io::Result<()> {
         let mut st = self.inner.lock().unwrap();
         let p = norm(path);
-        if st.files.contains_key(&p) {
+        if st.files.contains_key(p.as_str()) {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
                 format!("path already exists: {path}"),
             ));
         }
-        st.files.insert(p, Vec::new());
+        st.files.insert(p.into(), MemFile::default());
         Ok(())
     }
 
     fn append(&self, path: &str, data: &[u8]) -> io::Result<u64> {
         let mut st = self.inner.lock().unwrap();
-        let f = st.files.entry(norm(path)).or_default();
+        let f = st.files.entry(norm(path).into()).or_default();
         let off = f.len() as u64;
-        f.extend_from_slice(data);
+        f.append(data);
         Ok(off)
     }
 
     fn read_at(&self, path: &str, off: u64, buf: &mut [u8]) -> io::Result<usize> {
         let st = self.inner.lock().unwrap();
-        let f = st.files.get(&norm(path)).ok_or_else(|| not_found(path))?;
-        let off = off as usize;
-        if off >= f.len() {
-            return Ok(0);
-        }
-        let n = buf.len().min(f.len() - off);
-        buf[..n].copy_from_slice(&f[off..off + n]);
-        Ok(n)
+        let f = st.files.get(norm(path).as_str()).ok_or_else(|| not_found(path))?;
+        // An offset beyond `usize` is beyond EOF too.
+        Ok(usize::try_from(off).map_or(0, |off| f.read_at(off, buf)))
     }
 
     fn len(&self, path: &str) -> io::Result<u64> {
         let st = self.inner.lock().unwrap();
-        st.files.get(&norm(path)).map(|f| f.len() as u64).ok_or_else(|| not_found(path))
+        st.files.get(norm(path).as_str()).map(|f| f.len() as u64).ok_or_else(|| not_found(path))
     }
 
     fn list(&self, dir: &str) -> io::Result<Vec<String>> {
         let st = self.inner.lock().unwrap();
-        let prefix = {
-            let mut p = norm(dir);
-            if !p.ends_with('/') {
-                p.push('/');
-            }
-            p
-        };
+        let prefix = dir_prefix(dir);
         let mut names: Vec<String> = st
             .files
             .keys()
@@ -310,28 +397,28 @@ impl Backend for MemBackend {
     fn exists(&self, path: &str) -> bool {
         let st = self.inner.lock().unwrap();
         let p = norm(path);
-        st.files.contains_key(&p) || st.dirs.contains_key(&p)
+        st.files.contains_key(p.as_str()) || st.dirs.contains_key(p.as_str())
     }
 
     // Atomic: the single state mutex makes take-and-reinsert one step.
     fn rename(&self, from: &str, to: &str) -> io::Result<()> {
         let mut st = self.inner.lock().unwrap();
-        let data = st.files.remove(&norm(from)).ok_or_else(|| not_found(from))?;
-        st.files.insert(norm(to), data);
+        let data = st.files.remove(norm(from).as_str()).ok_or_else(|| not_found(from))?;
+        st.files.insert(norm(to).into(), data);
         Ok(())
     }
 
     fn remove(&self, path: &str) -> io::Result<()> {
         let mut st = self.inner.lock().unwrap();
-        st.files.remove(&norm(path)).map(|_| ()).ok_or_else(|| not_found(path))
+        st.files.remove(norm(path).as_str()).map(|_| ()).ok_or_else(|| not_found(path))
     }
 
     fn remove_dir_all(&self, path: &str) -> io::Result<()> {
         let mut st = self.inner.lock().unwrap();
         let p = norm(path);
-        let prefix = format!("{p}/");
-        st.files.retain(|k, _| k != &p && !k.starts_with(&prefix));
-        st.dirs.retain(|k, _| k != &p && !k.starts_with(&prefix));
+        let prefix = dir_prefix(path);
+        st.files.retain(|k, _| **k != p && !k.starts_with(&prefix));
+        st.dirs.retain(|k, _| **k != p && !k.starts_with(&prefix));
         Ok(())
     }
 }
@@ -622,6 +709,120 @@ mod tests {
         assert_atomic_calls_pass_through(&RetriedBackend::new(&rec, &policy), &rec);
         let rec = Arc::new(Recording::default());
         assert_atomic_calls_pass_through(&ChunkBackend::new(rec.clone()), &rec);
+    }
+
+    fn seeded_bytes(rng: &mut simkit::rng::Rng, n: usize) -> Vec<u8> {
+        let mut v = Vec::with_capacity(n + 8);
+        while v.len() < n {
+            v.extend_from_slice(&rng.next_u64().to_le_bytes());
+        }
+        v.truncate(n);
+        v
+    }
+
+    /// Segmented files against a plain `Vec<u8>` per file: appends of
+    /// boundary and random sizes, then reads within, across and
+    /// straddling segments and EOF, `len`, `total_bytes`, `rename` and a
+    /// truncating `create`.
+    #[test]
+    fn mem_segments_match_a_vec_model() {
+        use std::collections::BTreeMap;
+        let mut rng = simkit::rng::Rng::new(0x5E6);
+        let b = MemBackend::new();
+        let paths = ["/m/a", "/m/b", "/m/c", "/m/d"];
+        let mut model: BTreeMap<&str, Vec<u8>> = BTreeMap::new();
+        let mut sizes = vec![0, 1, SEG - 1, SEG, SEG + 1, 2 * SEG + 7];
+        sizes.extend((0..14).map(|_| rng.below(3 * SEG as u64 + 1) as usize));
+        sizes.extend((0..10).map(|_| rng.below(100) as usize));
+        rng.shuffle(&mut sizes);
+        for n in sizes {
+            let path = *rng.pick(&paths);
+            let data = seeded_bytes(&mut rng, n);
+            let f = model.entry(path).or_default();
+            assert_eq!(b.append(path, &data).unwrap(), f.len() as u64);
+            f.extend_from_slice(&data);
+        }
+        let check = |model: &BTreeMap<&str, Vec<u8>>, rng: &mut simkit::rng::Rng| {
+            assert_eq!(b.total_bytes(), model.values().map(|v| v.len() as u64).sum::<u64>());
+            for (path, want) in model {
+                let len = want.len();
+                assert_eq!(b.len(path).unwrap(), len as u64);
+                let mut reads: Vec<(usize, usize)> = (0..40)
+                    .map(|_| {
+                        (rng.below(len as u64 + 10) as usize, rng.below(3 * SEG as u64) as usize)
+                    })
+                    .collect();
+                // Around every segment boundary: spanning two and three
+                // segments, ending on and starting at the boundary.
+                for edge in (SEG..len).step_by(SEG) {
+                    reads.extend([(edge - 5, 10), (edge - 1, SEG + 2), (edge - 7, 7), (edge, 3)]);
+                }
+                // Straddling, at and past EOF.
+                reads.extend([(len.saturating_sub(3), 8), (len, 4), (len + 1, 4), (0, len + 1)]);
+                for (off, n) in reads {
+                    let mut buf = vec![0xAA; n];
+                    let got = b.read_at(path, off as u64, &mut buf).unwrap();
+                    let start = off.min(len);
+                    let end = (off + n).min(len).max(start);
+                    assert_eq!(got, end - start, "{path} read {n} at {off} of {len}");
+                    assert_eq!(&buf[..got], &want[start..end], "{path} read {n} at {off}");
+                }
+                assert_eq!(&b.read_all(path).unwrap(), want);
+            }
+        };
+        check(&model, &mut rng);
+        assert!(model.values().filter(|v| v.len() > 2 * SEG).count() >= 2);
+
+        let (big, _) = model.iter().max_by_key(|(_, v)| v.len()).unwrap();
+        let (big, moved) = (*big, "/m/moved");
+        b.rename(big, moved).unwrap();
+        let data = model.remove(big).unwrap();
+        model.insert(moved, data);
+        assert!(!b.exists(big));
+        check(&model, &mut rng);
+
+        b.create(moved).unwrap();
+        model.insert(moved, Vec::new());
+        check(&model, &mut rng);
+        let data = seeded_bytes(&mut rng, SEG + 3);
+        assert_eq!(b.append(moved, &data).unwrap(), 0);
+        model.insert(moved, data);
+        check(&model, &mut rng);
+    }
+
+    /// No segment is ever allocated past `SEG`, however the appends fall,
+    /// and a file's map entry is no larger than a `Vec<u8>` one.
+    #[test]
+    fn mem_segment_capacity_never_exceeds_seg() {
+        use std::mem::size_of;
+        assert!(size_of::<(Box<str>, MemFile)>() <= size_of::<(String, Vec<u8>)>());
+        let b = MemBackend::new();
+        let mut rng = simkit::rng::Rng::new(47_008);
+        for n in [47_008, 4_099, SEG / 2 + 1, 700_001] {
+            let path = format!("/cap/{n}");
+            let data = seeded_bytes(&mut rng, n);
+            while b.len(&path).unwrap_or(0) < 3 * SEG as u64 + 1 {
+                b.append(&path, &data).unwrap();
+                let st = b.inner.lock().unwrap();
+                let f = &st.files[path.as_str()];
+                assert!(f.head.capacity() <= SEG, "head capacity {}", f.head.capacity());
+                assert!(f.rest().iter().all(|s| s.capacity() == SEG));
+            }
+            assert_eq!(&b.read_all(&path).unwrap()[..n], &data[..]);
+        }
+    }
+
+    #[test]
+    fn mem_remove_dir_all_of_the_root_removes_everything() {
+        let b = MemBackend::new();
+        b.mkdir_all("/a/b").unwrap();
+        b.mkdir_all("/empty").unwrap();
+        b.append("/a/b/f", b"1").unwrap();
+        b.append("/top", b"2").unwrap();
+        b.remove_dir_all("/").unwrap();
+        assert_eq!(b.file_count(), 0);
+        assert!(b.list("/").unwrap().is_empty());
+        assert!(!b.exists("/a") && !b.exists("/empty") && !b.exists("/top"));
     }
 
     #[test]
