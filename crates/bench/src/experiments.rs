@@ -1600,7 +1600,10 @@ pub fn integrity_cell(ranks: usize, per_rank: usize) -> IntegrityCell {
     use std::time::Instant;
 
     const REC: u64 = 64;
-    const PASSES: u32 = 3;
+    // Warm passes per side. The gate compares the two sides' minima,
+    // so each needs enough passes that one noisy pass on a shared box
+    // cannot decide it.
+    const PASSES: u32 = 7;
     let backend = Arc::new(MemBackend::new()) as Arc<dyn Backend>;
     let fs = plfs::Plfs::new(backend.clone(), plfs::PlfsConfig::default());
     let mut writers: Vec<_> =

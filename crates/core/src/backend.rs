@@ -85,7 +85,8 @@ pub trait Backend: Send + Sync {
     /// Remove a file.
     fn remove(&self, path: &str) -> io::Result<()>;
 
-    /// Remove a directory tree.
+    /// Remove a directory tree. Removing the root (`/`) empties the
+    /// store and leaves it usable.
     fn remove_dir_all(&self, path: &str) -> io::Result<()>;
 
     /// Read a whole file. Loops on short-but-nonzero reads, so it is
@@ -507,8 +508,21 @@ impl Backend for DirBackend {
         fs::remove_file(self.abs(path))
     }
 
+    // The root is the store itself: removing it empties it, as on
+    // `MemBackend`, so later appends still land.
     fn remove_dir_all(&self, path: &str) -> io::Result<()> {
-        fs::remove_dir_all(self.abs(path))
+        if norm(path) != "/" {
+            return fs::remove_dir_all(self.abs(path));
+        }
+        for entry in fs::read_dir(&self.root)? {
+            let entry = entry?;
+            if entry.file_type()?.is_dir() {
+                fs::remove_dir_all(entry.path())?;
+            } else {
+                fs::remove_file(entry.path())?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -563,6 +577,16 @@ mod tests {
         assert!(!b.exists("/cp/hostdir.0/index.0"));
         b.remove_dir_all("/cp").unwrap();
         assert!(!b.exists("/cp/hostdir.0/data.0"));
+        // Removing the root empties the store and keeps it usable.
+        b.mkdir_all("/r/s").unwrap();
+        b.append("/r/s/f", b"1").unwrap();
+        b.append("/top", b"2").unwrap();
+        b.remove_dir_all("/").unwrap();
+        assert!(b.list("/").unwrap().is_empty());
+        assert!(!b.exists("/r") && !b.exists("/top"));
+        assert_eq!(b.append("/top", b"again").unwrap(), 0);
+        assert_eq!(b.read_all("/top").unwrap(), b"again");
+        b.remove("/top").unwrap();
     }
 
     /// The EOF half of the `read_at` contract, plus the stronger

@@ -245,20 +245,15 @@ impl<B: Backend> FaultyBackend<B> {
 
     /// Export the injection counters into a metrics registry as the
     /// `faults.*` series. Counters accumulate, so export once per
-    /// backend (or use labels to keep backends apart).
+    /// backend.
     pub fn export_into(&self, reg: &obs::Registry) {
-        self.export_into_labeled(reg, &[]);
-    }
-
-    /// [`Self::export_into`] with extra labels on every series.
-    pub fn export_into_labeled(&self, reg: &obs::Registry, labels: &[(&str, &str)]) {
         let st = self.stats();
-        reg.counter_with("faults.ops", labels).add(st.ops);
-        reg.counter_with("faults.injected_transient", labels).add(st.injected_transient);
-        reg.counter_with("faults.injected_torn", labels).add(st.injected_torn);
-        reg.counter_with("faults.rejected_while_crashed", labels).add(st.rejected_while_crashed);
-        reg.counter_with("faults.crashes", labels).add(st.crashes);
-        reg.counter_with("faults.injected_bit_flips", labels).add(st.injected_bit_flips);
+        reg.counter("faults.ops").add(st.ops);
+        reg.counter("faults.injected_transient").add(st.injected_transient);
+        reg.counter("faults.injected_torn").add(st.injected_torn);
+        reg.counter("faults.rejected_while_crashed").add(st.rejected_while_crashed);
+        reg.counter("faults.crashes").add(st.crashes);
+        reg.counter("faults.injected_bit_flips").add(st.injected_bit_flips);
     }
 
     /// Record every *future* injection live into `reg` as the

@@ -10,7 +10,6 @@ use crate::backend::Backend;
 use crate::container::{
     create_container, discover_droppings, is_container, read_meta, reserve_session, ContainerPaths,
 };
-use crate::fsck::{scrub, ScrubReport};
 use crate::metrics::PlfsMetrics;
 use crate::read::Reader;
 use crate::record::{err_token, OpLogRecorder};
@@ -277,20 +276,6 @@ impl Plfs {
             self.cfg.retry.run(|| self.backend.remove_dir_all(logical.trim_end_matches('/')))
         };
         self.record_meta(logical, OpKind::Unlink, 0, res)
-    }
-
-    /// Checksum-walk a container's droppings on the bounded worker pool
-    /// (see [`crate::fsck::scrub`]), recording `scrub.*` metrics into
-    /// this instance's registry.
-    pub fn scrub(&self, logical: &str) -> io::Result<ScrubReport> {
-        let span =
-            self.metrics.trace.start("plfs.scrub", obs::trace::Phase::Compute, "plfs.scrub", 0);
-        let report = scrub(self.backend.as_ref(), logical, self.cfg.hostdirs);
-        span.end();
-        let report = report?;
-        self.metrics.scrub_extents.add(report.checked_blocks);
-        self.metrics.scrub_corrupt.add(report.findings.len() as u64);
-        Ok(report)
     }
 
     /// Materialize the container into a flat file at `dest` on the same

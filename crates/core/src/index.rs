@@ -552,7 +552,6 @@ pub struct IndexMap {
     /// so a merged map can round-trip through the flattened-index cache
     /// and later re-merge against newer entries.
     stamps: Vec<u64>,
-    entries_seen: usize,
     merge_steps: u64,
 }
 
@@ -561,7 +560,6 @@ impl IndexMap {
     /// (ties by writer id, which cannot collide for distinct writes of
     /// the same writer since their timestamps differ). O(n log n).
     pub fn build(entries: Vec<IndexEntry>) -> Self {
-        let n = entries.len();
         let merged = sweep_merge(entries);
         let mut extents = Vec::with_capacity(merged.frags.len());
         let mut stamps = Vec::with_capacity(merged.frags.len());
@@ -574,7 +572,7 @@ impl IndexMap {
             });
             stamps.push(f.timestamp);
         }
-        IndexMap { extents, stamps, entries_seen: n, merge_steps: merged.steps }
+        IndexMap { extents, stamps, merge_steps: merged.steps }
     }
 
     /// The original algorithm: sort by timestamp, splice each entry
@@ -587,7 +585,6 @@ impl IndexMap {
         let mut map = IndexMap {
             extents: Vec::with_capacity(n),
             stamps: Vec::with_capacity(n),
-            entries_seen: n,
             merge_steps: 0,
         };
         for e in entries {
@@ -645,15 +642,6 @@ impl IndexMap {
         }
         self.extents.splice(lo..hi, replacement);
         self.stamps.splice(lo..hi, rep_stamps);
-    }
-
-    /// Number of raw entries merged in.
-    pub fn entries_seen(&self) -> usize {
-        self.entries_seen
-    }
-
-    pub(crate) fn set_entries_seen(&mut self, n: usize) {
-        self.entries_seen = n;
     }
 
     /// Logical work units the merge charged (comparisons, element

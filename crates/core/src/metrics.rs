@@ -41,8 +41,6 @@
 //! | `plfs.verify.blocks` | counter | checksum blocks verified on the read path |
 //! | `plfs.verify.bytes` | counter | bytes covered by read-path verification |
 //! | `plfs.verify.failures` | counter | blocks whose checksum mismatched (first detection per reader) |
-//! | `scrub.extents` | counter | checksum blocks walked by `fsck::scrub` |
-//! | `scrub.corrupt` | counter | corrupt extents found by `fsck::scrub` |
 //!
 //! The retry layer adds `retry.*` (see [`crate::retry::RetryObs`]) and
 //! fault injection adds `faults.*` (see
@@ -91,8 +89,6 @@ pub struct PlfsMetrics {
     pub verify_blocks: Counter,
     pub verify_bytes: Counter,
     pub verify_failures: Counter,
-    pub scrub_extents: Counter,
-    pub scrub_corrupt: Counter,
     pub merge_fanin: Histogram,
     pub decode_concurrency: Histogram,
     pub read_parallelism: Histogram,
@@ -148,8 +144,6 @@ impl PlfsMetrics {
             verify_blocks: registry.counter("plfs.verify.blocks"),
             verify_bytes: registry.counter("plfs.verify.bytes"),
             verify_failures: registry.counter("plfs.verify.failures"),
-            scrub_extents: registry.counter("scrub.extents"),
-            scrub_corrupt: registry.counter("scrub.corrupt"),
             merge_fanin: registry.histogram("plfs.index.merge_fanin"),
             decode_concurrency: registry.histogram("plfs.index.decode_concurrency"),
             read_parallelism: registry.histogram("plfs.read.parallelism"),

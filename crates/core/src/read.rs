@@ -278,8 +278,7 @@ impl Reader {
         for list in &ingest.fragment_lists {
             all.extend_from_slice(list);
         }
-        let mut map = IndexMap::build(all);
-        map.set_entries_seen(ingest.raw_entries);
+        let map = IndexMap::build(all);
         merge_span.end();
 
         // Persist the flattened view for the next open (best-effort:
