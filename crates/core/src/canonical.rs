@@ -21,10 +21,13 @@
 //!   so a grown dropping means "decode just the tail"; a shrunk or
 //!   vanished one means the world changed under us — rebuild.
 //!
-//! `fsck` reports a stale cache and `fsck::repair` deletes it (repair
-//! rewrites droppings, which silently invalidates any flattened view).
-//! Every decode error here is treated as "no cache" by readers — the
-//! cache is an optimization, never a correctness dependency.
+//! Whether the cache is usable (absent, undecodable, stale, or fresh
+//! with tails to merge) is decided once, by `load`, for the reader's
+//! open, `fsck`, `scrub` and `repair`. `fsck` reports a stale cache and
+//! `fsck::repair` deletes it (repair rewrites droppings, which silently
+//! invalidates any flattened view). Every decode error here is treated
+//! as "no cache" by readers — the cache is an optimization, never a
+//! correctness dependency.
 
 use crate::backend::Backend;
 use crate::container::{discover_droppings, epoch_watermark, ContainerPaths};
@@ -123,13 +126,40 @@ pub struct Tail {
     pub len: u64,
 }
 
+/// What `canonical.index` holds, decided once for the reader, `fsck`,
+/// `scrub` and `repair`.
+pub(crate) enum Loaded {
+    /// No cache file.
+    Absent,
+    /// Unreadable, torn or corrupt (its own checksum caught it).
+    Undecodable(String),
+    /// Decodes, but the droppings moved on since the merge.
+    Stale(String),
+    /// Usable: merge the listed dropping tails on top (none = fully warm).
+    Fresh(CanonicalIndex, Vec<Tail>),
+}
+
+/// Load and validate `canonical.index`: `exists`, then `read_all` and
+/// decode, then [`freshness`]. `backend` should already mask transient
+/// faults (the reader passes a retried backend); any hard error reads
+/// as undecodable or stale.
+pub(crate) fn load(backend: &dyn Backend, paths: &ContainerPaths) -> Loaded {
+    let path = paths.canonical_index();
+    if !backend.exists(&path) {
+        return Loaded::Absent;
+    }
+    match backend.read_all(&path).and_then(|blob| CanonicalIndex::decode(&blob)) {
+        Err(e) => Loaded::Undecodable(e.to_string()),
+        Ok(canon) => match freshness(backend, paths, &canon) {
+            Ok(tails) => Loaded::Fresh(canon, tails),
+            Err(why) => Loaded::Stale(why),
+        },
+    }
+}
+
 /// Validate a decoded canonical index against the container's current
-/// state. `Ok(tails)` means usable — merge the listed dropping tails on
-/// top (empty = fully warm). `Err(reason)` means stale: discard it.
-///
-/// `backend` should already mask transient faults (callers pass a
-/// retried backend); any hard error is reported as staleness.
-pub fn freshness(
+/// state. `Ok(tails)` means usable; `Err(reason)` means stale.
+fn freshness(
     backend: &dyn Backend,
     paths: &ContainerPaths,
     canon: &CanonicalIndex,
@@ -138,17 +168,12 @@ pub fn freshness(
     if session != canon.session_count {
         return Err(format!("writer sessions advanced ({} -> {session})", canon.session_count));
     }
-    let droppings = match discover_droppings(backend, paths) {
-        Ok(d) => d,
-        Err(e) => return Err(format!("discovery failed: {e}")),
-    };
+    let droppings =
+        discover_droppings(backend, paths).map_err(|e| format!("discovery failed: {e}"))?;
     let mut covered: std::collections::HashMap<u32, u64> = canon.covered.iter().copied().collect();
     let mut tails = Vec::new();
     for (rank, index_path, _) in droppings {
-        let len = match backend.len(&index_path) {
-            Ok(l) => l,
-            Err(e) => return Err(format!("len({index_path}) failed: {e}")),
-        };
+        let len = backend.len(&index_path).map_err(|e| format!("len({index_path}) failed: {e}"))?;
         let Some(cov) = covered.remove(&rank) else {
             return Err(format!("rank {rank} appeared after the merge"));
         };

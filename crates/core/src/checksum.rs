@@ -42,7 +42,7 @@
 
 use crate::backend::Backend;
 use crate::read::read_at_least;
-use crate::retry::RetryPolicy;
+use crate::retry::{len_or_zero_once, RetryPolicy};
 use std::io;
 use std::ops::{ControlFlow, Range};
 
@@ -219,7 +219,8 @@ pub(crate) struct Coverage {
 impl Sidecar {
     /// Load `sidecar` and measure `covered`: `exists`, then `read_all`,
     /// then (only once the header parses) `len`. An unreadable sidecar
-    /// is an error; a missing covered file measures as empty.
+    /// or a failed measurement is an error; only a missing covered file
+    /// measures as empty.
     pub(crate) fn load(backend: &dyn Backend, covered: &str, sidecar: &str) -> io::Result<Self> {
         if !backend.exists(sidecar) {
             return Ok(Sidecar::Absent);
@@ -232,7 +233,7 @@ impl Sidecar {
             }
         };
         let torn = !(blob.len() - CHK_HEADER_BYTES).is_multiple_of(4);
-        let len = backend.len(covered).unwrap_or(0);
+        let len = len_or_zero_once(backend, covered)?;
         Ok(Sidecar::Parsed(Coverage { block, crcs, len, torn }))
     }
 }

@@ -194,15 +194,21 @@ pub fn discover_droppings(
     backend: &dyn Backend,
     paths: &ContainerPaths,
 ) -> io::Result<Vec<(u32, String, String)>> {
-    let mut out: Vec<_> = hostdir_files(backend, paths)?
-        .into_iter()
+    Ok(droppings_in(&hostdir_files(backend, paths)?))
+}
+
+/// [`discover_droppings`] over a [`hostdir_files`] listing already in
+/// hand: one entry per index dropping, by rank.
+pub(crate) fn droppings_in(files: &[(String, String)]) -> Vec<(u32, String, String)> {
+    let mut out: Vec<_> = files
+        .iter()
         .filter_map(|(dir, name)| {
-            let rank = dropping_rank(&name, "index")?;
+            let rank = dropping_rank(name, "index")?;
             Some((rank, format!("{dir}/{name}"), format!("{dir}/data.{rank}")))
         })
         .collect();
     out.sort_by_key(|(r, _, _)| *r);
-    Ok(out)
+    out
 }
 
 /// Read all metadata droppings.

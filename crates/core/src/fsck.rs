@@ -2,32 +2,52 @@
 //!
 //! A PLFS container is many independent droppings; partial writes,
 //! truncated logs, or lost index records after a crash show up as
-//! specific, locally-detectable inconsistencies. `fsck` verifies:
+//! specific, locally-detectable inconsistencies. Every check here starts
+//! from one **survey** of the container, which reads it once: one walk
+//! of the hostdirs, the `openhosts` listing, and per rank the index
+//! dropping (read once and decoded with [`decode_prefix`]), the data
+//! dropping's length and both checksum sidecars (through
+//! `Sidecar::load`), plus the flattened-index cache (through
+//! `canonical::load`, the loader the reader uses too). Each recovery
+//! rule is decided in one place, on the survey:
 //!
-//! 1. the container skeleton (access marker, openhosts/meta dirs);
-//! 2. every index dropping decodes cleanly;
-//! 3. every index entry's physical extent lies within its data
-//!    dropping (no dangling pointers);
-//! 4. data droppings have no unindexed tail beyond the highest indexed
-//!    byte (orphaned bytes — harmless but reported);
-//! 5. writers that left data but no index (unreadable data), and
-//!    stale `openhosts` droppings from sessions that never closed.
+//! - *the index is torn*: bytes past the index dropping's decodable
+//!   prefix (`Rank::torn`, with the decoder's reason);
+//! - *an extent dangles*: an entry ends past its data dropping
+//!   (`dangles`);
+//! - *a tail is orphaned*: data bytes past every indexed extent
+//!   (`Rank::orphaned`);
+//! - *data has no index*: a data dropping whose rank left no index
+//!   dropping (`Survey::unindexed`);
+//! - *a session is stale*: an `openhosts` dropping (`Survey::open`);
+//! - *the cache is stale*: `canonical::load` finds it undecodable or
+//!   stale.
 //!
-//! [`repair`] fixes what [`fsck`] finds, preserving the crash-recovery
-//! invariant: **every write acknowledged (synced) before the crash
-//! reads back byte-for-byte afterwards**. The writer flushes data
-//! before index, so a torn index tail or an unindexed data tail always
-//! belongs to writes that were never acked — truncating them is safe.
+//! [`fsck`] reports the survey. [`scrub`] surveys each rank on its own
+//! worker, then checksum-walks what the rank's sidecars cover. [`repair`] fixes what the survey found: its
+//! passes apply to the survey behind its `before` report, keeping its
+//! lengths current as they cut, instead of re-reading the container
+//! and deciding each rule again. It surveys again only when its opt-in
+//! pass 0 cut a dropping, and its `after` report is a fresh [`fsck`].
+//! A length the survey cannot measure is an error, never "0 bytes":
+//! only `NotFound` means empty.
+//!
+//! Repair preserves the crash-recovery invariant: **every write
+//! acknowledged (synced) before the crash reads back byte-for-byte
+//! afterwards**. The writer flushes data before index, so a torn index
+//! tail or an unindexed data tail always belongs to writes that were
+//! never acked — truncating them is safe.
 
 use crate::backend::Backend;
-use crate::canonical::{freshness, CanonicalIndex};
+use crate::canonical::{self, Loaded};
 use crate::checksum::{Sidecar, CHK_HEADER_BYTES};
 use crate::container::{
-    compact_epoch_ledger, discover_droppings, dropping_rank, hostdir_files, is_container,
-    ContainerPaths,
+    compact_epoch_ledger, dropping_rank, droppings_in, hostdir_files, is_container, ContainerPaths,
 };
 use crate::index::{decode, decode_prefix, encode_raw, IndexEntry};
 use crate::pool;
+use crate::retry::len_or_zero_once;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::ops::ControlFlow;
 
@@ -105,97 +125,174 @@ impl FsckReport {
     }
 }
 
-/// Check a container.
-pub fn fsck(backend: &dyn Backend, logical: &str, hostdirs: u32) -> io::Result<FsckReport> {
-    let mut report = FsckReport::default();
-    if !is_container(backend, logical) {
-        report.errors.push(FsckError::NotAContainer);
-        return Ok(report);
-    }
-    let paths = ContainerPaths::new(logical, hostdirs);
+// ---------------------------------------------------------------- survey
 
-    // Stale open sessions.
-    if let Ok(names) = backend.list(&paths.openhosts_dir()) {
-        for name in names {
-            report.errors.push(FsckError::StaleOpenSession { name });
+/// A data or index dropping and its checksum sidecar, as surveyed.
+struct Dropping {
+    path: String,
+    /// Its length (`NotFound` is 0); `repair` keeps it current.
+    len: u64,
+    sidecar_path: String,
+    sidecar: Sidecar,
+}
+
+impl Dropping {
+    /// `repair` cut or grew the dropping to `len` bytes.
+    fn set_len(&mut self, len: u64) {
+        self.len = len;
+        if let Sidecar::Parsed(cov) = &mut self.sidecar {
+            cov.len = len;
         }
     }
 
-    // Index/data cross-checks.
-    let droppings = discover_droppings(backend, &paths)?;
-    report.writers = droppings.len();
-    let mut indexed_ranks = std::collections::HashSet::new();
-    for (rank, idx_path, data_path) in &droppings {
-        indexed_ranks.insert(*rank);
-        let blob = backend.read_all(idx_path)?;
-        let entries = match decode(&blob) {
-            Ok(e) => e,
-            Err(err) => {
-                report
-                    .errors
-                    .push(FsckError::CorruptIndex { rank: *rank, detail: err.to_string() });
+    /// Bytes no sidecar entry covers: all of them when the sidecar is
+    /// absent or unparseable.
+    fn uncovered(&self) -> u64 {
+        match &self.sidecar {
+            Sidecar::Parsed(cov) => cov.uncovered(),
+            _ => self.len,
+        }
+    }
+}
+
+/// One rank's droppings, as surveyed.
+struct Rank {
+    rank: u32,
+    /// The entries of the index dropping's decodable prefix...
+    entries: Vec<IndexEntry>,
+    /// ...which is its first `consumed` bytes.
+    consumed: u64,
+    /// Why the bytes past `consumed` do not decode: the index is torn.
+    torn: Option<String>,
+    data: Dropping,
+    index: Dropping,
+}
+
+fn physical_end(e: &IndexEntry) -> u64 {
+    e.physical_offset + e.length
+}
+
+/// An extent dangles when it ends past its data dropping: the index
+/// record landed, the data it points at did not.
+fn dangles(e: &IndexEntry, data_len: u64) -> bool {
+    physical_end(e) > data_len
+}
+
+impl Rank {
+    /// Survey one rank: its index dropping read once and decoded, its
+    /// data dropping measured, both sidecars loaded.
+    fn load(
+        backend: &dyn Backend,
+        paths: &ContainerPaths,
+        (rank, index_path, data_path): (u32, String, String),
+    ) -> io::Result<Rank> {
+        let dropping = |path: String, len, sidecar_path: String| {
+            let sidecar = Sidecar::load(backend, &path, &sidecar_path)?;
+            Ok::<_, io::Error>(Dropping { path, len, sidecar_path, sidecar })
+        };
+        let blob = backend.read_all(&index_path)?;
+        let (entries, consumed) = decode_prefix(&blob);
+        // Decoded alone, the first bad record says why it is bad.
+        let torn = decode(&blob[consumed..]).err().map(|e| e.to_string());
+        let data_len = len_or_zero_once(backend, &data_path)?;
+        Ok(Rank {
+            rank,
+            entries,
+            consumed: consumed as u64,
+            torn,
+            data: dropping(data_path, data_len, paths.chk_dropping(rank))?,
+            index: dropping(index_path, blob.len() as u64, paths.index_chk_dropping(rank))?,
+        })
+    }
+
+    /// Data bytes past every indexed extent: an unindexed tail.
+    fn orphaned(&self) -> Option<u64> {
+        let highest = self.entries.iter().map(physical_end).max().unwrap_or(0);
+        self.data.len.checked_sub(highest).filter(|&n| n > 0)
+    }
+}
+
+/// One read of a container (see the module docs).
+struct Survey {
+    /// Every hostdir file, in listing order.
+    files: Vec<(String, String)>,
+    /// `openhosts` droppings: sessions that never closed.
+    open: Vec<String>,
+    /// Every rank that left an index dropping, by rank.
+    ranks: Vec<Rank>,
+    /// Data droppings whose rank left no index dropping, in listing
+    /// order.
+    unindexed: Vec<(u32, String)>,
+    canonical: Loaded,
+}
+
+impl Survey {
+    fn take(backend: &dyn Backend, paths: &ContainerPaths) -> io::Result<Survey> {
+        let open = backend.list(&paths.openhosts_dir()).unwrap_or_default();
+        let files = hostdir_files(backend, paths)?;
+        let ranks = droppings_in(&files)
+            .into_iter()
+            .map(|d| Rank::load(backend, paths, d))
+            .collect::<io::Result<Vec<Rank>>>()?;
+        let unindexed = files
+            .iter()
+            .filter_map(|(dir, name)| {
+                let rank = dropping_rank(name, "data")?;
+                let indexed = ranks.binary_search_by_key(&rank, |r| r.rank).is_ok();
+                (!indexed).then(|| (rank, format!("{dir}/{name}")))
+            })
+            .collect();
+        let canonical = canonical::load(backend, paths);
+        Ok(Survey { files, open, ranks, unindexed, canonical })
+    }
+
+    /// The [`fsck`] report: every rule's findings.
+    fn report(&self) -> FsckReport {
+        let mut report = FsckReport { writers: self.ranks.len(), ..Default::default() };
+        let errors = &mut report.errors;
+        errors.extend(
+            self.open.iter().map(|name| FsckError::StaleOpenSession { name: name.clone() }),
+        );
+        for r in &self.ranks {
+            let (rank, data_len) = (r.rank, r.data.len);
+            if let Some(detail) = &r.torn {
+                errors.push(FsckError::CorruptIndex { rank, detail: detail.clone() });
                 continue;
             }
-        };
-        report.entries += entries.len();
-        let data_len = backend.len(data_path).unwrap_or(0);
-        let mut highest_physical = 0u64;
-        for e in &entries {
-            let phys_end = e.physical_offset + e.length;
-            highest_physical = highest_physical.max(phys_end);
-            report.logical_eof = report.logical_eof.max(e.logical_offset + e.length);
-            if phys_end > data_len {
-                report.errors.push(FsckError::DanglingExtent {
-                    rank: *rank,
-                    physical_end: phys_end,
-                    data_len,
-                });
+            report.entries += r.entries.len();
+            for e in &r.entries {
+                report.logical_eof = report.logical_eof.max(e.logical_offset + e.length);
+                if dangles(e, data_len) {
+                    let physical_end = physical_end(e);
+                    errors.push(FsckError::DanglingExtent { rank, physical_end, data_len });
+                }
+            }
+            if let Some(orphaned_bytes) = r.orphaned() {
+                errors.push(FsckError::OrphanedData { rank, orphaned_bytes });
+            }
+            let uncovered = r.data.uncovered() + r.index.uncovered();
+            if uncovered > 0 {
+                report.uncovered.push((rank, uncovered));
             }
         }
-        if data_len > highest_physical {
-            report.errors.push(FsckError::OrphanedData {
-                rank: *rank,
-                orphaned_bytes: data_len - highest_physical,
-            });
+        errors.extend(self.unindexed.iter().map(|&(rank, _)| FsckError::MissingIndex { rank }));
+        if let Loaded::Undecodable(detail) | Loaded::Stale(detail) = &self.canonical {
+            errors.push(FsckError::StaleCanonicalIndex { detail: detail.clone() });
         }
-        // Whole file when the sidecar is absent, unreadable or
-        // unparseable; O(sidecar), never O(data).
-        let unc: u64 =
-            [(data_path, paths.chk_dropping(*rank)), (idx_path, paths.index_chk_dropping(*rank))]
-                .iter()
-                .map(|(covered, sidecar)| match Sidecar::load(backend, covered, sidecar) {
-                    Ok(Sidecar::Parsed(cov)) => cov.uncovered(),
-                    _ => backend.len(covered).unwrap_or(0),
-                })
-                .sum();
-        if unc > 0 {
-            report.uncovered.push((*rank, unc));
-        }
+        report
     }
+}
 
-    // Data droppings with no index at all.
-    for (_, name) in hostdir_files(backend, &paths)? {
-        if let Some(rank) = dropping_rank(&name, "data").filter(|r| !indexed_ranks.contains(r)) {
-            report.errors.push(FsckError::MissingIndex { rank });
-        }
-    }
+fn not_a_container() -> FsckReport {
+    FsckReport { errors: vec![FsckError::NotAContainer], ..Default::default() }
+}
 
-    // Flattened-index cache consistency (see `crate::canonical`).
-    let canonical_path = paths.canonical_index();
-    if backend.exists(&canonical_path) {
-        let stale = match backend
-            .read_all(&canonical_path)
-            .map_err(|e| e.to_string())
-            .and_then(|blob| CanonicalIndex::decode(&blob).map_err(|e| e.to_string()))
-        {
-            Ok(canon) => freshness(backend, &paths, &canon).err(),
-            Err(e) => Some(e),
-        };
-        if let Some(detail) = stale {
-            report.errors.push(FsckError::StaleCanonicalIndex { detail });
-        }
+/// Check a container.
+pub fn fsck(backend: &dyn Backend, logical: &str, hostdirs: u32) -> io::Result<FsckReport> {
+    if !is_container(backend, logical) {
+        return Ok(not_a_container());
     }
-    Ok(report)
+    Ok(Survey::take(backend, &ContainerPaths::new(logical, hostdirs))?.report())
 }
 
 // ----------------------------------------------------------------- scrub
@@ -243,41 +340,33 @@ struct RankScrub {
     findings: Vec<ScrubFinding>,
 }
 
-/// Checksum-walk one covered/sidecar pair, appending findings.
-fn scrub_pair(
-    backend: &dyn Backend,
-    rank: u32,
-    covered: &str,
-    sidecar: &str,
-    out: &mut RankScrub,
-) -> io::Result<()> {
-    let finding = |path: &str, offset, len| ScrubFinding { rank, path: path.into(), offset, len };
-    let cov = match Sidecar::load(backend, covered, sidecar)? {
-        Sidecar::Parsed(cov) => cov,
-        unverifiable => {
-            if let Sidecar::Unparseable { len, .. } = unverifiable {
-                out.findings.push(finding(sidecar, 0, len));
+impl Dropping {
+    /// Checksum-walk what the sidecar covers, appending findings.
+    fn scrub(&self, backend: &dyn Backend, rank: u32, out: &mut RankScrub) -> io::Result<()> {
+        let finding =
+            |path: &str, offset, len| ScrubFinding { rank, path: path.into(), offset, len };
+        out.uncovered += self.uncovered();
+        if let Sidecar::Unparseable { len, .. } = &self.sidecar {
+            out.findings.push(finding(&self.sidecar_path, 0, *len));
+        }
+        let Sidecar::Parsed(cov) = &self.sidecar else { return Ok(()) };
+        cov.walk(backend, &self.path, |_, r, ok| {
+            out.blocks += 1;
+            out.bytes += r.end - r.start;
+            if !ok {
+                out.findings.push(finding(&self.path, r.start, r.end - r.start));
             }
-            out.uncovered += backend.len(covered).unwrap_or(0);
-            return Ok(());
+            ControlFlow::<()>::Continue(())
+        })?;
+        if let Some(k) = cov.overclaim() {
+            // The sidecar claims coverage of bytes that don't exist: the
+            // sidecar (not the dropping) is the corrupt artifact.
+            let offset = (CHK_HEADER_BYTES + 4 * k) as u64;
+            let len = 4 * (cov.crcs.len() - k) as u64;
+            out.findings.push(finding(&self.sidecar_path, offset, len));
         }
-    };
-    cov.walk(backend, covered, |_, r, ok| {
-        out.blocks += 1;
-        out.bytes += r.end - r.start;
-        if !ok {
-            out.findings.push(finding(covered, r.start, r.end - r.start));
-        }
-        ControlFlow::<()>::Continue(())
-    })?;
-    if let Some(k) = cov.overclaim() {
-        // The sidecar claims coverage of bytes that don't exist: the
-        // sidecar (not the dropping) is the corrupt artifact.
-        let offset = (CHK_HEADER_BYTES + 4 * k) as u64;
-        out.findings.push(finding(sidecar, offset, 4 * (cov.crcs.len() - k) as u64));
+        Ok(())
     }
-    out.uncovered += cov.uncovered();
-    Ok(())
 }
 
 /// Full-container checksum walk: verify every sidecar-covered block of
@@ -294,17 +383,22 @@ pub fn scrub(backend: &dyn Backend, logical: &str, hostdirs: u32) -> io::Result<
         ));
     }
     let paths = ContainerPaths::new(logical, hostdirs);
-    let droppings = discover_droppings(backend, &paths)?;
+    let droppings = droppings_in(&hostdir_files(backend, &paths)?);
+    // Each worker surveys its rank, then walks what the sidecars cover.
     let cap = pool::available_parallelism();
     let (results, _) = pool::run_bounded(droppings.len(), cap, |i| {
-        let (rank, idx_path, data_path) = &droppings[i];
+        let r = Rank::load(backend, &paths, droppings[i].clone())?;
         let mut out = RankScrub::default();
-        scrub_pair(backend, *rank, data_path, &paths.chk_dropping(*rank), &mut out)?;
-        scrub_pair(backend, *rank, idx_path, &paths.index_chk_dropping(*rank), &mut out)?;
-        Ok::<(u32, RankScrub), io::Error>((*rank, out))
+        r.data.scrub(backend, r.rank, &mut out)?;
+        r.index.scrub(backend, r.rank, &mut out)?;
+        Ok::<(u32, RankScrub), io::Error>((r.rank, out))
     });
 
-    let mut report = ScrubReport { ranks: droppings.len(), ..Default::default() };
+    let mut report = ScrubReport {
+        ranks: droppings.len(),
+        canonical_corrupt: matches!(canonical::load(backend, &paths), Loaded::Undecodable(_)),
+        ..Default::default()
+    };
     for r in results {
         let (rank, out) = r?;
         report.checked_blocks += out.blocks;
@@ -315,15 +409,6 @@ pub fn scrub(backend: &dyn Backend, logical: &str, hostdirs: u32) -> io::Result<
         }
     }
     report.uncovered.sort_unstable();
-
-    let canonical_path = paths.canonical_index();
-    if backend.exists(&canonical_path) {
-        report.canonical_corrupt = backend
-            .read_all(&canonical_path)
-            .ok()
-            .and_then(|blob| CanonicalIndex::decode(&blob).ok())
-            .is_none();
-    }
     Ok(report)
 }
 
@@ -438,24 +523,7 @@ fn truncate_file(backend: &dyn Backend, path: &str, keep: u64) -> io::Result<()>
     replace_file_atomic(backend, path, &data[..keep as usize])
 }
 
-/// Offset of the first checksum-mismatched block of `covered`, or
-/// `None` when everything verifiable verifies (absent/unparseable
-/// sidecars verify nothing — sidecar reconciliation handles those).
-fn first_corrupt_block(
-    backend: &dyn Backend,
-    covered: &str,
-    sidecar: &str,
-) -> io::Result<Option<u64>> {
-    let Ok(Sidecar::Parsed(cov)) = Sidecar::load(backend, covered, sidecar) else {
-        return Ok(None);
-    };
-    cov.walk(backend, covered, |_, r, ok| match ok {
-        true => ControlFlow::Continue(()),
-        false => ControlFlow::Break(r.start),
-    })
-}
-
-/// Reconcile one checksum sidecar with its covered file after the
+/// Reconcile one checksum sidecar, `loaded` as it stands after the
 /// repair passes rewrote droppings. Entries are only ever *dropped* —
 /// recomputing a CRC from bytes repair can't vouch for would launder
 /// corruption into "verified". `modified` says the covered file was
@@ -465,8 +533,8 @@ fn first_corrupt_block(
 fn reconcile_sidecar(
     backend: &dyn Backend,
     rank: u32,
-    covered: &str,
-    sidecar: &str,
+    (covered, sidecar): (&str, &str),
+    loaded: &Sidecar,
     modified: bool,
     actions: &mut Vec<RepairAction>,
 ) -> io::Result<()> {
@@ -475,7 +543,7 @@ fn reconcile_sidecar(
         actions.push(RepairAction::RemovedChecksumSidecar { rank });
         Ok(())
     };
-    let cov = match Sidecar::load(backend, covered, sidecar)? {
+    let cov = match loaded {
         Sidecar::Absent => return Ok(()),
         Sidecar::Parsed(cov) if backend.exists(covered) => cov,
         // Unparseable, or its covered file is gone.
@@ -497,7 +565,8 @@ fn reconcile_sidecar(
     Ok(())
 }
 
-/// Repair a crashed container in place.
+/// Repair a crashed container in place, fixing what its survey found
+/// (see the module docs).
 ///
 /// Fix order matters — each step can only expose problems a later step
 /// handles:
@@ -521,169 +590,139 @@ pub fn repair(
     hostdirs: u32,
     opts: &RepairOptions,
 ) -> io::Result<RepairReport> {
-    let before = fsck(backend, logical, hostdirs)?;
-    let mut actions = Vec::new();
-    if before.errors.contains(&FsckError::NotAContainer) {
+    if !is_container(backend, logical) {
         // Nothing we can do without a container skeleton.
-        return Ok(RepairReport { after: before.clone(), before, actions });
+        let before = not_a_container();
+        return Ok(RepairReport { after: before.clone(), before, actions: Vec::new() });
     }
     let paths = ContainerPaths::new(logical, hostdirs);
-    let droppings = discover_droppings(backend, &paths)?;
+    let mut s = Survey::take(backend, &paths)?;
+    let before = s.report();
+    let mut actions = Vec::new();
 
     // Which ranks' data/index files this run rewrites — their sidecars'
-    // close-time tail CRCs are reconciled at the end.
-    let mut data_mod = std::collections::HashSet::new();
-    let mut index_mod = std::collections::HashSet::new();
+    // close-time tail CRCs are reconciled at the end — and which index
+    // droppings it re-encodes wholesale.
+    let (mut data_mod, mut index_mod) = (HashSet::new(), HashSet::new());
+    let mut index_rewritten = HashSet::new();
 
     // Pass 0 (opt-in): salvage the verified prefix of corrupt
     // droppings. Cutting at the first bad block turns silent corruption
     // into the torn-tail / dangling-extent shapes passes 1–3 already
-    // repair.
+    // repair, so the cut container is surveyed again.
     if opts.truncate_corrupt_tails {
-        for (rank, idx_path, data_path) in &droppings {
-            let pairs = [
-                (data_path.as_str(), paths.chk_dropping(*rank), &mut data_mod),
-                (idx_path.as_str(), paths.index_chk_dropping(*rank), &mut index_mod),
-            ];
-            for (covered, sidecar, modified) in pairs {
-                if let Some(first_bad) = first_corrupt_block(backend, covered, &sidecar)? {
-                    let clen = backend.len(covered).unwrap_or(0);
-                    truncate_file(backend, covered, first_bad)?;
-                    modified.insert(*rank);
+        for r in &s.ranks {
+            for (d, modified) in [(&r.data, &mut data_mod), (&r.index, &mut index_mod)] {
+                let Sidecar::Parsed(cov) = &d.sidecar else { continue };
+                let first_bad = cov.walk(backend, &d.path, |_, b, ok| match ok {
+                    true => ControlFlow::Continue(()),
+                    false => ControlFlow::Break(b.start),
+                })?;
+                if let Some(first_bad) = first_bad {
+                    truncate_file(backend, &d.path, first_bad)?;
+                    modified.insert(r.rank);
                     actions.push(RepairAction::TruncatedCorruptTail {
-                        rank: *rank,
-                        dropped_bytes: clen - first_bad,
+                        rank: r.rank,
+                        dropped_bytes: d.len - first_bad,
                     });
                 }
             }
         }
+        if !actions.is_empty() {
+            s = Survey::take(backend, &paths)?;
+        }
     }
 
-    // Passes 1–3 per writer; remember each writer's surviving entries
-    // so salvage can place orphans past the global logical EOF.
-    let mut kept_all: Vec<(u32, String, String, Vec<IndexEntry>, u64)> = Vec::new();
-    let mut logical_eof = 0u64;
-    let mut max_ts = 0u64;
-    for (rank, idx_path, data_path) in droppings {
-        let blob = backend.read_all(&idx_path)?;
-        let (mut entries, consumed) = decode_prefix(&blob);
-        if consumed < blob.len() {
-            truncate_file(backend, &idx_path, consumed as u64)?;
-            actions.push(RepairAction::TruncatedIndexTail {
-                rank,
-                dropped_bytes: (blob.len() - consumed) as u64,
-            });
+    // Passes 1–2 per rank; the surviving entries place salvaged
+    // orphans past the global logical EOF.
+    let (mut logical_eof, mut max_ts) = (0u64, 0u64);
+    for r in &mut s.ranks {
+        let rank = r.rank;
+        if r.torn.is_some() {
+            truncate_file(backend, &r.index.path, r.consumed)?;
+            let dropped_bytes = r.index.len - r.consumed;
+            actions.push(RepairAction::TruncatedIndexTail { rank, dropped_bytes });
+            r.index.set_len(r.consumed);
+            index_mod.insert(rank);
         }
-        let data_len = backend.len(&data_path).unwrap_or(0);
-        let n_before = entries.len();
-        entries.retain(|e| e.physical_offset + e.length <= data_len);
-        if entries.len() < n_before {
-            replace_file_atomic(backend, &idx_path, &encode_raw(&entries))?;
-            actions.push(RepairAction::TrimmedDanglingExtents {
-                rank,
-                dropped_entries: n_before - entries.len(),
-            });
+        let (n, data_len) = (r.entries.len(), r.data.len);
+        r.entries.retain(|e| !dangles(e, data_len));
+        if r.entries.len() < n {
+            replace_file_atomic(backend, &r.index.path, &encode_raw(&r.entries))?;
+            let dropped_entries = n - r.entries.len();
+            actions.push(RepairAction::TrimmedDanglingExtents { rank, dropped_entries });
+            index_rewritten.insert(rank);
         }
-        for e in &entries {
+        for e in &r.entries {
             logical_eof = logical_eof.max(e.logical_offset + e.length);
             max_ts = max_ts.max(e.timestamp);
         }
-        kept_all.push((rank, idx_path, data_path, entries, data_len));
     }
+    // Salvage mode's index record for orphaned bytes. Its rank's index
+    // grows (the tail CRC goes stale) and bytes past the data sidecar's
+    // close-time coverage become live (the data tail CRC hashed a
+    // shorter tail than now exists), so both count as rewritten.
+    let salvaged = |writer, length, physical_offset, logical_offset| {
+        let timestamp = max_ts + 1;
+        encode_raw(&[IndexEntry { logical_offset, length, physical_offset, writer, timestamp }])
+    };
 
     // Pass 3: orphaned data tails.
-    for (rank, idx_path, data_path, entries, data_len) in &kept_all {
-        let highest = entries.iter().map(|e| e.physical_offset + e.length).max().unwrap_or(0);
-        if *data_len > highest {
-            let orphaned = data_len - highest;
-            if opts.salvage_orphans {
-                let entry = IndexEntry {
-                    logical_offset: logical_eof,
-                    length: orphaned,
-                    physical_offset: highest,
-                    writer: *rank,
-                    timestamp: max_ts + 1,
-                };
-                backend.append(idx_path, &encode_raw(&[entry]))?;
-                actions.push(RepairAction::SalvagedOrphan {
-                    rank: *rank,
-                    bytes: orphaned,
-                    logical_offset: logical_eof,
-                });
-                logical_eof += orphaned;
-            } else {
-                truncate_file(backend, data_path, highest)?;
-                actions.push(RepairAction::TruncatedOrphanTail {
-                    rank: *rank,
-                    dropped_bytes: orphaned,
-                });
-            }
-        }
-    }
-
-    // Pass 4: data droppings with no index dropping at all.
-    let indexed: std::collections::HashSet<u32> = kept_all.iter().map(|(r, ..)| *r).collect();
-    for (dir, name) in hostdir_files(backend, &paths)? {
-        let Some(rank) = dropping_rank(&name, "data").filter(|r| !indexed.contains(r)) else {
-            continue;
-        };
-        let data_path = format!("{dir}/{name}");
-        let bytes = backend.len(&data_path).unwrap_or(0);
-        if opts.salvage_orphans && bytes > 0 {
-            let entry = IndexEntry {
-                logical_offset: logical_eof,
-                length: bytes,
-                physical_offset: 0,
-                writer: rank,
-                timestamp: max_ts + 1,
-            };
-            backend.append(&paths.index_dropping(rank), &encode_raw(&[entry]))?;
+    for r in &mut s.ranks {
+        let Some(bytes) = r.orphaned() else { continue };
+        let (rank, highest) = (r.rank, r.data.len - bytes);
+        if opts.salvage_orphans {
+            let record = salvaged(rank, bytes, highest, logical_eof);
+            backend.append(&r.index.path, &record)?;
+            r.index.set_len(r.index.len + record.len() as u64);
+            index_mod.insert(rank);
             actions.push(RepairAction::SalvagedOrphan { rank, bytes, logical_offset: logical_eof });
             logical_eof += bytes;
         } else {
-            backend.remove(&data_path)?;
+            truncate_file(backend, &r.data.path, highest)?;
+            r.data.set_len(highest);
+            actions.push(RepairAction::TruncatedOrphanTail { rank, dropped_bytes: bytes });
+        }
+        data_mod.insert(rank);
+    }
+
+    // Pass 4: data droppings with no index dropping at all.
+    for &(rank, ref data_path) in &s.unindexed {
+        let bytes = if opts.salvage_orphans { len_or_zero_once(backend, data_path)? } else { 0 };
+        if bytes > 0 {
+            backend.append(&paths.index_dropping(rank), &salvaged(rank, bytes, 0, logical_eof))?;
+            actions.push(RepairAction::SalvagedOrphan { rank, bytes, logical_offset: logical_eof });
+            logical_eof += bytes;
+            index_mod.insert(rank);
+            data_mod.insert(rank);
+        } else {
+            backend.remove(data_path)?;
             actions.push(RepairAction::RemovedUnindexedData { rank });
         }
     }
 
     // Pass 5: sessions that never closed.
-    if let Ok(names) = backend.list(&paths.openhosts_dir()) {
-        for name in names {
-            backend.remove(&format!("{}/{name}", paths.openhosts_dir()))?;
-            actions.push(RepairAction::ClearedStaleSession { name });
-        }
+    for name in &s.open {
+        backend.remove(&format!("{}/{name}", paths.openhosts_dir()))?;
+        actions.push(RepairAction::ClearedStaleSession { name: name.clone() });
     }
 
     // Sidecar reconciliation. Prefix-preserving truncations invalidate
     // at most the close-time tail CRC (`*_mod`); a wholesale index
-    // re-encode (dangling-extent trim) invalidates every `chki` block,
-    // so that sidecar is removed outright.
-    let mut index_rewritten = std::collections::HashSet::new();
-    for a in &actions {
-        match a {
-            RepairAction::TruncatedIndexTail { rank, .. } => {
-                index_mod.insert(*rank);
-            }
-            RepairAction::TrimmedDanglingExtents { rank, .. } => {
-                index_rewritten.insert(*rank);
-            }
-            RepairAction::TruncatedOrphanTail { rank, .. } => {
-                data_mod.insert(*rank);
-            }
-            RepairAction::SalvagedOrphan { rank, .. } => {
-                // The index grew (tail CRC stale) and bytes beyond the
-                // data sidecar's close-time coverage became live — the
-                // data tail CRC hashed a shorter tail than now exists.
-                index_mod.insert(*rank);
-                data_mod.insert(*rank);
-            }
-            _ => {}
-        }
-    }
-    for (dir, name) in hostdir_files(backend, &paths)? {
-        let (rank, covered, modified, rewritten) = if let Some(r) = dropping_rank(&name, "chki") {
+    // re-encode invalidates every `chki` block, so that sidecar is
+    // removed outright. A surveyed sidecar still says what it covers
+    // (the passes kept its covered length current); any other one is
+    // loaded here.
+    let surveyed: HashMap<&str, &Dropping> = s
+        .ranks
+        .iter()
+        .flat_map(|r| [&r.data, &r.index])
+        .map(|d| (d.sidecar_path.as_str(), d))
+        .collect();
+    for (dir, name) in &s.files {
+        let (rank, covered, modified, rewritten) = if let Some(r) = dropping_rank(name, "chki") {
             (r, format!("{dir}/index.{r}"), index_mod.contains(&r), index_rewritten.contains(&r))
-        } else if let Some(r) = dropping_rank(&name, "chk") {
+        } else if let Some(r) = dropping_rank(name, "chk") {
             (r, format!("{dir}/data.{r}"), data_mod.contains(&r), false)
         } else {
             continue;
@@ -694,26 +733,27 @@ pub fn repair(
             actions.push(RepairAction::RemovedChecksumSidecar { rank });
             continue;
         }
-        reconcile_sidecar(backend, rank, &covered, &sidecar, modified, &mut actions)?;
+        let unsurveyed;
+        let loaded = match surveyed.get(sidecar.as_str()).filter(|d| d.path == covered) {
+            Some(d) => &d.sidecar,
+            None => {
+                unsurveyed = Sidecar::load(backend, &covered, &sidecar)?;
+                &unsurveyed
+            }
+        };
+        reconcile_sidecar(backend, rank, (&covered, &sidecar), loaded, modified, &mut actions)?;
     }
 
     // Pass 6: the flattened-index cache. Runs last because the passes
     // above rewrite droppings and change the session count — both
     // silently invalidate a cached merge. An already-stale or
     // undecodable cache goes too; a fresh one on an untouched
-    // container is kept.
-    let canonical_path = paths.canonical_index();
-    if backend.exists(&canonical_path) {
-        let fresh = backend
-            .read_all(&canonical_path)
-            .ok()
-            .and_then(|blob| CanonicalIndex::decode(&blob).ok())
-            .map(|canon| freshness(backend, &paths, &canon).is_ok())
-            .unwrap_or(false);
-        if !actions.is_empty() || !fresh {
-            backend.remove(&canonical_path)?;
-            actions.push(RepairAction::DroppedStaleCanonical);
-        }
+    // container is kept (with no action taken, the survey's verdict
+    // still holds).
+    let fresh = matches!(s.canonical, Loaded::Fresh(..));
+    if !matches!(s.canonical, Loaded::Absent) && (!actions.is_empty() || !fresh) {
+        backend.remove(&paths.canonical_index())?;
+        actions.push(RepairAction::DroppedStaleCanonical);
     }
 
     // Housekeeping runs after the canonical decision: neither action
@@ -725,9 +765,9 @@ pub fn repair(
     // run's own temps are already gone (the rename consumed them), so
     // anything still here is from the crash; its target either got
     // re-repaired above or never needed the staged bytes.
-    for (dir, name) in hostdir_files(backend, &paths)? {
-        if name.ends_with(REPAIR_TEMP_SUFFIX) {
-            let path = format!("{dir}/{name}");
+    for (dir, name) in &s.files {
+        let path = format!("{dir}/{name}");
+        if name.ends_with(REPAIR_TEMP_SUFFIX) && backend.exists(&path) {
             backend.remove(&path)?;
             actions.push(RepairAction::RemovedRepairTemp { path });
         }
@@ -774,6 +814,7 @@ pub fn scrub_chunks(
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
+    use crate::canonical::CanonicalIndex;
     use crate::filesystem::{Plfs, PlfsConfig};
     use std::sync::Arc;
 
@@ -784,6 +825,68 @@ mod tests {
             PlfsConfig { hostdirs: 4, ..Default::default() },
         );
         (fs, b)
+    }
+
+    /// Test store layer: counts the calls that reach the store below,
+    /// and can fail the `n`th `len` of one path with a transient error.
+    struct Probe {
+        below: Arc<MemBackend>,
+        counts: std::sync::Mutex<Counts>,
+    }
+
+    #[derive(Default)]
+    struct Counts {
+        /// Calls forwarded besides `len` and `read_at`.
+        forwarded: u64,
+        len: u64,
+        read_at: u64,
+        /// `read_at` calls per index dropping.
+        index_reads: std::collections::BTreeMap<String, u64>,
+        /// `(path, n)`: the `n`th `len` of `path` from now times out.
+        fail_len: Option<(String, u64)>,
+    }
+
+    impl Probe {
+        fn over(below: &Arc<MemBackend>) -> Arc<Probe> {
+            Arc::new(Probe { below: below.clone(), counts: Default::default() })
+        }
+    }
+
+    impl crate::backend::Layer for Probe {
+        fn below(&self) -> &dyn Backend {
+            self.below.as_ref()
+        }
+
+        fn call<T>(&self, mut op: impl FnMut(&dyn Backend) -> io::Result<T>) -> io::Result<T> {
+            self.counts.lock().unwrap().forwarded += 1;
+            op(self.below.as_ref())
+        }
+
+        fn len(&self, path: &str) -> io::Result<u64> {
+            let mut c = self.counts.lock().unwrap();
+            c.len += 1;
+            let hit = match &mut c.fail_len {
+                Some((p, n)) if p == path => {
+                    *n -= 1;
+                    *n == 0
+                }
+                _ => false,
+            };
+            if hit {
+                c.fail_len = None;
+                return Err(io::Error::new(io::ErrorKind::TimedOut, "injected len timeout"));
+            }
+            self.below.len(path)
+        }
+
+        fn read_at(&self, path: &str, off: u64, buf: &mut [u8]) -> io::Result<usize> {
+            let mut c = self.counts.lock().unwrap();
+            c.read_at += 1;
+            if path.rsplit('/').next().is_some_and(|name| name.starts_with("index.")) {
+                *c.index_reads.entry(path.to_string()).or_default() += 1;
+            }
+            self.below.read_at(path, off, buf)
+        }
     }
 
     fn healthy(fs: &Plfs) {
@@ -1247,5 +1350,249 @@ mod tests {
                 "write {i} must survive"
             );
         }
+    }
+
+    // ------------------------------------------------------ the survey
+
+    /// A clean container of `ranks` closed writers, 1000 B each.
+    fn clean(ranks: u32, hostdirs: u32) -> Arc<MemBackend> {
+        let b = Arc::new(MemBackend::new());
+        let fs =
+            Plfs::new(b.clone() as Arc<dyn Backend>, PlfsConfig { hostdirs, ..Default::default() });
+        for rank in 0..ranks {
+            let mut w = fs.open_writer("/f", rank).unwrap();
+            w.write_at(rank as u64 * 1000, &[rank as u8 + 1; 1000]).unwrap();
+            w.close().unwrap();
+        }
+        b
+    }
+
+    #[test]
+    fn repair_reads_each_index_dropping_at_most_twice() {
+        let b = clean(16, 32);
+        repair(b.as_ref(), "/f", 32, &RepairOptions::default()).unwrap(); // ledger housekeeping
+        let probe = Probe::over(&b);
+        let rep = repair(probe.as_ref(), "/f", 32, &RepairOptions::default()).unwrap();
+        assert!(rep.before.is_clean() && rep.actions.is_empty(), "{:?}", rep.actions);
+        let c = probe.counts.lock().unwrap();
+        assert_eq!(c.index_reads.len(), 16);
+        for (path, reads) in &c.index_reads {
+            assert!(*reads <= 2, "{path} read {reads} times: once before, once after");
+        }
+    }
+
+    /// A transient `len` failure is not a 0 B file. On a cleanly closed
+    /// 4096 B file, fail each `len` of its data dropping in turn: fsck
+    /// must return the error instead of a dangling extent, and repair
+    /// must either fail or leave every byte (and its sidecar) in place.
+    #[test]
+    fn a_failed_len_never_reads_as_an_empty_file() {
+        let b = Arc::new(MemBackend::new());
+        let fs = Plfs::new(
+            b.clone() as Arc<dyn Backend>,
+            PlfsConfig { hostdirs: 4, ..Default::default() },
+        );
+        let mut w = fs.open_writer("/f", 0).unwrap();
+        w.write_at(0, &[7u8; 4096]).unwrap();
+        w.close().unwrap();
+        let data = crate::container::ContainerPaths::new("/f", 4).data_dropping(0);
+        let probe_with = |n| {
+            let probe = Probe::over(&b);
+            probe.counts.lock().unwrap().fail_len = Some((data.clone(), n));
+            probe
+        };
+        let (mut fsck_errs, mut repair_errs) = (0, 0);
+        for n in 1..=8 {
+            let probe = probe_with(n);
+            match fsck(probe.as_ref(), "/f", 4) {
+                Ok(rep) => assert!(rep.is_clean(), "len #{n} failed: fsck found {:?}", rep.errors),
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::TimedOut);
+                    fsck_errs += 1;
+                }
+            }
+            let probe = probe_with(n);
+            match repair(probe.as_ref(), "/f", 4, &RepairOptions::default()) {
+                Ok(rep) => {
+                    assert!(rep.actions.is_empty(), "len #{n} failed: repair did {:?}", rep.actions)
+                }
+                Err(_) => repair_errs += 1,
+            }
+            assert_eq!(fs.open_reader("/f").unwrap().read_all().unwrap(), vec![7u8; 4096]);
+            assert!(fsck(b.as_ref(), "/f", 4).unwrap().uncovered.is_empty(), "a sidecar went");
+        }
+        assert!(fsck_errs > 0 && repair_errs > 0, "no injected failure was hit");
+    }
+
+    /// An upper bound on the entries `decode_prefix` expands `blob`
+    /// into: records framed as the decoder frames them, checksummed ones
+    /// only while their CRC holds, extents not range-checked.
+    fn expansion_bound(blob: &[u8]) -> u64 {
+        let (mut pos, mut entries) = (0, 0u64);
+        while let Some(&tag) = blob.get(pos) {
+            let (body, crc) = match tag {
+                1 | 3 => (crate::index::RAW_RECORD_BYTES, tag == 3),
+                2 | 4 => (crate::index::PATTERN_RECORD_BYTES, tag == 4),
+                _ => break,
+            };
+            let end = pos + 1 + body + if crc { crate::index::RECORD_CRC_BYTES } else { 0 };
+            let Some(record) = blob.get(pos..end) else { break };
+            if crc
+                && crate::checksum::crc32(&record[..1 + body]).to_le_bytes() != record[1 + body..]
+            {
+                break;
+            }
+            entries += match body {
+                crate::index::PATTERN_RECORD_BYTES => {
+                    u32::from_le_bytes(record[25..29].try_into().unwrap()) as u64
+                }
+                _ => 1,
+            };
+            pos = end;
+        }
+        entries
+    }
+
+    /// Hostile bytes in the parsers the survey reads: every truncation,
+    /// and a seeded sample of single-byte replacements, of an index
+    /// dropping from `encode_compressed` (tags 3 and 4), of a
+    /// `canonical.index` and of a sidecar. Each parser returns a typed
+    /// error or a consistent value, never a panic, and `fsck` reports
+    /// each rotted index dropping. The legacy pattern tag `2` carries no
+    /// CRC, so a replacement that turns a byte into tag `2` can make a
+    /// rotted `count` expand to up to 2³² entries: such inputs are
+    /// counted and skipped, not decoded.
+    #[test]
+    fn survey_parsers_take_hostile_bytes() {
+        use crate::checksum::{chk_header, crc32, VERIFY_BLOCK};
+        let mut skipped = 0;
+        for seed in 0..4u64 {
+            let mut rng = simkit::Rng::new(0xB17E5 + seed);
+            // A strided run (one pattern record) and scattered writes.
+            let mut entries: Vec<IndexEntry> = (0..6u64)
+                .map(|i| IndexEntry {
+                    logical_offset: i * 4000,
+                    length: 1000,
+                    physical_offset: i * 1000,
+                    writer: 1,
+                    timestamp: 10 + i,
+                })
+                .collect();
+            for i in 0..4u64 {
+                let (length, ts) = (1 + rng.below(900), 20 + i);
+                let logical_offset = rng.below(1 << 20);
+                entries.push(IndexEntry {
+                    logical_offset,
+                    length,
+                    physical_offset: 6000 + i * 1000,
+                    writer: 1,
+                    timestamp: ts,
+                });
+            }
+            let index = crate::index::encode_compressed(&entries);
+            assert!(index.contains(&4) && index.len() < entries.len() * 41, "no pattern record");
+            let canon = CanonicalIndex {
+                session_count: 3 + seed,
+                covered: vec![(0, 123), (1, index.len() as u64)],
+                fragments: entries[..5].to_vec(),
+            }
+            .encode();
+            let data = vec![9u8; 3 * VERIFY_BLOCK as usize + 100];
+            let mut sidecar = chk_header(VERIFY_BLOCK as u32);
+            for block in data.chunks(VERIFY_BLOCK as usize) {
+                sidecar.extend_from_slice(&crc32(block).to_le_bytes());
+            }
+
+            let (fs, b) = setup();
+            healthy(&fs);
+            let paths = crate::container::ContainerPaths::new("/f", 4);
+            b.append("/covered", &data).unwrap();
+            for (kind, blob) in [("index", &index), ("canonical", &canon), ("sidecar", &sidecar)] {
+                let mut variants: Vec<Vec<u8>> =
+                    (0..blob.len()).map(|n| blob[..n].to_vec()).collect();
+                for _ in 0..300 {
+                    let mut v = blob.clone();
+                    let at = rng.below(v.len() as u64) as usize;
+                    v[at] ^= 1 + rng.below(255) as u8;
+                    variants.push(v);
+                }
+                for v in &variants {
+                    let ctx = format!("seed {seed} {kind} of {} B", v.len());
+                    match kind {
+                        "index" => {
+                            if expansion_bound(v) > 1 << 16 {
+                                skipped += 1;
+                                continue;
+                            }
+                            let (got, consumed) = decode_prefix(v);
+                            assert!(consumed <= v.len(), "{ctx}");
+                            for e in &got {
+                                assert!(e.logical_offset.checked_add(e.length).is_some(), "{ctx}");
+                                assert!(e.physical_offset.checked_add(e.length).is_some(), "{ctx}");
+                            }
+                            assert_eq!(decode(&v[..consumed]).unwrap(), got, "{ctx}");
+                            match decode(v) {
+                                Ok(all) => assert!(consumed == v.len() && all == got, "{ctx}"),
+                                Err(e) => assert!(
+                                    consumed < v.len()
+                                        && matches!(
+                                            e.kind(),
+                                            io::ErrorKind::InvalidData
+                                                | io::ErrorKind::UnexpectedEof
+                                        ),
+                                    "{ctx}: {e}"
+                                ),
+                            }
+                            // The survey reads it as rank 1's index dropping.
+                            b.create(&paths.index_dropping(1)).unwrap();
+                            b.append(&paths.index_dropping(1), v).unwrap();
+                            let rep = fsck(b.as_ref(), "/f", 4).unwrap();
+                            let corrupt = rep
+                                .errors
+                                .iter()
+                                .any(|e| matches!(e, FsckError::CorruptIndex { rank: 1, .. }));
+                            assert_eq!(corrupt, consumed < v.len(), "{ctx}: {:?}", rep.errors);
+                        }
+                        "canonical" => match CanonicalIndex::decode(v) {
+                            Ok(c) => assert_eq!(&c.encode(), v, "{ctx}"),
+                            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{ctx}"),
+                        },
+                        _ => {
+                            b.create("/sidecar").unwrap();
+                            b.append("/sidecar", v).unwrap();
+                            match Sidecar::load(b.as_ref(), "/covered", "/sidecar").unwrap() {
+                                Sidecar::Absent => panic!("{ctx}: the sidecar exists"),
+                                Sidecar::Unparseable { len, .. } => {
+                                    assert_eq!(len, v.len() as u64, "{ctx}")
+                                }
+                                Sidecar::Parsed(cov) => {
+                                    let body = v.len() - CHK_HEADER_BYTES;
+                                    assert!(cov.block > 0 && cov.len == data.len() as u64, "{ctx}");
+                                    assert_eq!(
+                                        (cov.crcs.len(), cov.torn),
+                                        (body / 4, !body.is_multiple_of(4)),
+                                        "{ctx}"
+                                    );
+                                    assert!(cov.uncovered() <= cov.len, "{ctx}");
+                                    let mut seen = 0;
+                                    cov.walk(b.as_ref(), "/covered", |k, r, _| {
+                                        assert!(k < cov.crcs.len() && r.end <= cov.len, "{ctx}");
+                                        seen += 1;
+                                        ControlFlow::<()>::Continue(())
+                                    })
+                                    .unwrap();
+                                    assert_eq!(
+                                        seen,
+                                        cov.overclaim().unwrap_or(cov.crcs.len()),
+                                        "{ctx}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        eprintln!("{skipped} rotted index droppings skipped: a legacy pattern record could expand them past 65536 entries");
     }
 }

@@ -28,7 +28,7 @@
 //! suspicious about it falls back to a full rebuild.
 
 use crate::backend::Backend;
-use crate::canonical::{freshness, CanonicalIndex, Tail};
+use crate::canonical::{self, CanonicalIndex, Tail};
 use crate::checksum::{crc32, Coverage, Sidecar};
 use crate::container::{discover_droppings, epoch_watermark, ContainerPaths};
 use crate::index::{decode, IndexEntry, IndexMap};
@@ -779,8 +779,8 @@ fn ingest(
     metrics: &Arc<PlfsMetrics>,
     root_id: u64,
 ) -> io::Result<Ingest> {
-    // Try the flattened-index cache first.
-    if let Some((canon, tails)) = load_canonical(retried, paths) {
+    // Try the flattened-index cache first; any other outcome rebuilds.
+    if let canonical::Loaded::Fresh(canon, tails) = canonical::load(retried, paths) {
         if tails.is_empty() {
             return Ok(Ingest {
                 index_bytes: canon.covered.iter().map(|&(_, l)| l).sum(),
@@ -854,7 +854,7 @@ fn ingest(
     })
 }
 
-/// Fetch + decode just the grown tails listed by [`freshness`].
+/// Fetch + decode just the grown tails a fresh cache listed.
 /// `None` means a tail was unreadable — caller rebuilds cold.
 fn ingest_tails(
     retried: &RetriedBackend<'_>,
@@ -895,22 +895,6 @@ fn ingest_tails(
         peak_workers: peak,
         persist: None, // caller stamps
     })
-}
-
-/// Load and validate `canonical.index`; `None` covers every failure
-/// mode (absent, torn, undecodable, stale) — callers just rebuild.
-fn load_canonical(
-    retried: &RetriedBackend<'_>,
-    paths: &ContainerPaths,
-) -> Option<(CanonicalIndex, Vec<Tail>)> {
-    let path = paths.canonical_index();
-    if !retried.exists(&path) {
-        return None;
-    }
-    let blob = retried.read_all(&path).ok()?;
-    let canon = CanonicalIndex::decode(&blob).ok()?;
-    let tails = freshness(retried, paths, &canon).ok()?;
-    Some((canon, tails))
 }
 
 /// Persist a canonical index (create truncates any stale one first).

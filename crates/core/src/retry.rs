@@ -344,11 +344,16 @@ impl crate::backend::Layer for RetriedBackend<'_> {
 
 /// `len()` that treats a missing file as empty, retried per policy.
 pub fn len_or_zero(backend: &dyn Backend, policy: &RetryPolicy, path: &str) -> io::Result<u64> {
-    policy.run(|| match backend.len(path) {
-        Ok(n) => Ok(n),
+    policy.run(|| len_or_zero_once(backend, path))
+}
+
+/// One `len()` where only `NotFound` reads as empty: any other error
+/// surfaces, so a failed measurement never passes for a 0 B file.
+pub(crate) fn len_or_zero_once(backend: &dyn Backend, path: &str) -> io::Result<u64> {
+    match backend.len(path) {
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
-        Err(e) => Err(e),
-    })
+        res => res,
+    }
 }
 
 /// Append `data` to `path` such that, on success, the file holds

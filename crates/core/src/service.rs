@@ -57,7 +57,7 @@ use obs::trace::Phase;
 use obs::{Counter, Gauge, Histogram};
 use std::collections::VecDeque;
 use std::io;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -138,6 +138,25 @@ struct QueuedWrite {
 /// kept and re-minted for every subsequent caller.
 type ShardFailure = (io::ErrorKind, String);
 
+/// Fails its shard if the drain thread unwinds (a panic in the store
+/// below), waking producers and barrier waiters as a store error does:
+/// no `sync` waits forever on a dead thread.
+struct FailOnUnwind<'a>(&'a Shard);
+
+impl Drop for FailOnUnwind<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            let shard = self.0;
+            // No panic here, mid-unwind: a store panic never holds
+            // `state`, and setting `failed` is valid whatever it held.
+            let mut st = shard.state.lock().unwrap_or_else(PoisonError::into_inner);
+            st.failed = Some((io::ErrorKind::Other, "ingest drain thread panicked".into()));
+            shard.space.notify_all();
+            shard.done.notify_all();
+        }
+    }
+}
+
 #[derive(Default)]
 struct ShardQueue {
     queue: VecDeque<QueuedWrite>,
@@ -214,8 +233,10 @@ impl Inner {
     /// A shard's drain thread: sleep until the queue is due, take all
     /// of it (freeing producers at once — the batch is already bounded
     /// by the queue caps), group-commit it, repeat. Exits on shutdown
-    /// once the queue is empty, or on the shard's first failure.
+    /// once the queue is empty, or on the shard's first failure; a panic
+    /// fails the shard on its way out (`FailOnUnwind`).
     fn run_drainer(&self, shard: &Shard) {
+        let _unwind = FailOnUnwind(shard);
         let mut st = shard.state.lock().unwrap();
         loop {
             if st.failed.is_some() || (st.shutdown && st.queue.is_empty()) {
@@ -447,13 +468,14 @@ impl IngestService {
         let mut res = self.sync();
         self.shutdown();
         for shard in &self.inner.shards {
-            if let Some(w) = shard.writer.lock().unwrap().take() {
-                let r = w.close();
-                if res.is_ok() {
-                    if let Err(e) = r {
-                        res = Err(e);
-                    }
-                }
+            // A writer whose drain thread panicked mid-commit is in an
+            // unknown state: leave it unclosed and surface the loss.
+            let r = match shard.writer.lock() {
+                Ok(mut guard) => guard.take().map_or(Ok(()), |w| w.close().map(drop)),
+                Err(_) => Err(io::Error::other("ingest shard writer lost to a panic")),
+            };
+            if let (Ok(()), Err(e)) = (&res, r) {
+                res = Err(e);
             }
         }
         res.map(|()| self.stats())
@@ -737,5 +759,47 @@ mod tests {
             .sum();
         assert_eq!(committed, 32);
         assert!(reg.histogram("svc.commit.fanin").count() >= 1);
+    }
+
+    /// A store that panics on its first append once armed.
+    struct PanicOnAppend {
+        below: MemBackend,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl crate::backend::Layer for PanicOnAppend {
+        fn below(&self) -> &dyn Backend {
+            &self.below
+        }
+
+        fn append(&self, path: &str, data: &[u8]) -> io::Result<u64> {
+            if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                panic!("injected store panic on append to {path}");
+            }
+            self.below.append(path, data)
+        }
+    }
+
+    #[test]
+    fn a_panicking_drain_thread_fails_sync_instead_of_hanging() {
+        let store = Arc::new(PanicOnAppend { below: MemBackend::new(), armed: false.into() });
+        let fs = Plfs::new(store.clone() as Arc<dyn Backend>, PlfsConfig::default());
+        let cfg = ServiceConfig { shards: 1, ..Default::default() };
+        let svc = Arc::new(IngestService::start(&fs, "/p", cfg).unwrap());
+        store.armed.store(true, std::sync::atomic::Ordering::SeqCst);
+        for i in 0..20u64 {
+            // Once the drain thread has died, writes are refused.
+            let _ = svc.write(0, i * 64, &[i as u8 + 1; 64]);
+        }
+        // Wait on a helper thread, so a hang fails the test instead of
+        // stalling it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = Arc::clone(&svc);
+        let helper = thread::spawn(move || tx.send(waiter.sync()).unwrap());
+        let res = rx.recv_timeout(Duration::from_secs(5)).expect("sync still waiting after 5 s");
+        assert!(res.is_err(), "a shard whose drain thread panicked must fail sync");
+        helper.join().unwrap();
+        let svc = Arc::into_inner(svc).expect("the helper thread has joined");
+        assert!(svc.close().is_err(), "close must report the lost shard, not panic");
     }
 }

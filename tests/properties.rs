@@ -17,8 +17,8 @@ use pdsi::plfs::index::{
 };
 use pdsi::plfs::retry::RetryPolicy;
 use pdsi::plfs::{
-    fsck, is_integrity, ContainerPaths, IngestService, Plfs, PlfsConfig, QuarantinePolicy,
-    ServiceConfig, WriterConfig, VERIFY_BLOCK,
+    fsck, is_integrity, CanonicalIndex, ContainerPaths, IngestService, Plfs, PlfsConfig,
+    QuarantinePolicy, ServiceConfig, WriterConfig, VERIFY_BLOCK,
 };
 use pdsi::simkit::stats::Cdf;
 use pdsi::simkit::Rng;
@@ -371,7 +371,8 @@ impl Stack {
     /// manifest record names a blob in the pool); repair leaves a clean
     /// container and a second repair finds nothing to do; on `Chunked`,
     /// gc then a pool scrub come back clean; a container scrub is
-    /// clean; and every acked byte reads back.
+    /// clean; every acked byte reads back; and the read-open's
+    /// `canonical.index` covers no index byte that has not landed.
     fn check_recovery(self, faulty: &Faulty, acks: &Acks, ctx: &str) {
         faulty.heal();
         let (store, chunked) = self.over(faulty);
@@ -398,9 +399,11 @@ impl Stack {
         }
         let scrub = fsck::scrub(store.as_ref(), "/f", 2).unwrap();
         assert!(scrub.is_clean(), "{ctx}: scrub found {:?}", scrub.findings);
-        let fs = Plfs::new(store, PlfsConfig { hostdirs: 2, ..Default::default() });
+        let order = Arc::new(OrderCheck::new(store));
+        let fs = Plfs::new(order.clone(), PlfsConfig { hostdirs: 2, ..Default::default() });
         let reader = fs.open_reader("/f").expect("container must open after repair");
         acks.assert_read_back(&reader.read_all().unwrap(), ctx);
+        order.assert_in_order();
     }
 }
 
@@ -610,6 +613,7 @@ fn failed_writes_stay_queued_and_land_at_every_buffer_size() {
             let got = fs.open_reader("/w").unwrap().read_all();
             let got = got.unwrap_or_else(|e| panic!("{tag}: read_all failed: {e}"));
             assert!(got == want, "{tag}: read back {} B, wrote {} B", got.len(), want.len());
+            order.assert_in_order(); // the read-open's canonical.index too
         }
         assert!(surfaced > 0, "buffer {data_buffer}: no error surfaced — weak test");
     }
@@ -617,11 +621,14 @@ fn failed_writes_stay_queued_and_land_at_every_buffer_size() {
 
 /// Test-support layer directly under `Plfs` that catches a write
 /// landing out of order: an index record past the landed end of its
-/// data dropping, or sidecar entry `k` while the file it covers holds
-/// at most `k·block` bytes. It learns what landed from each append's
-/// offset and, after a failed append, from the next `len` of the file:
-/// a torn append lands a prefix of its bytes, and the writer
-/// re-measures the file before it resumes.
+/// data dropping, sidecar entry `k` while the file it covers holds at
+/// most `k·block` bytes, or a `canonical.index` whose covered length of
+/// a rank's index dropping is more than has landed there. It learns
+/// what landed from each append's offset and, after a failed append,
+/// from the next `len` of the file: a torn append lands a prefix of its
+/// bytes, and the writer re-measures the file before it resumes. A file
+/// it first meets through `len` (a reader over a store written without
+/// it) it takes as the store holds it.
 struct OrderCheck {
     below: Arc<dyn Backend>,
     landed: Mutex<Landed>,
@@ -695,6 +702,24 @@ impl Landed {
                     }
                 }
             }
+            "canonical" => {
+                // A torn landing does not decode, and no reader trusts it.
+                let Ok(canon) = CanonicalIndex::decode(bytes) else { return Ok(()) };
+                for (rank, covered) in canon.covered {
+                    let suffix = format!("/index.{rank}");
+                    let index = self.files.iter().find(|(p, _)| {
+                        p.strip_prefix(dir).is_some_and(|rest| rest.starts_with('/'))
+                            && p.ends_with(&suffix)
+                    });
+                    let (index, holds) =
+                        index.map_or((suffix.as_str(), 0), |(p, f)| (p, f.0.len()));
+                    if covered > holds as u64 {
+                        return Err(format!(
+                            "{path}: covers {covered} B of {index}, which holds {holds} B"
+                        ));
+                    }
+                }
+            }
             "chk" | "chki" => {
                 let covered = if kind == "chk" { "data" } else { "index" };
                 let entries = bytes.len().saturating_sub(CHK_HEADER_BYTES) / 4;
@@ -735,10 +760,14 @@ impl pdsi::plfs::backend::Layer for OrderCheck {
     fn len(&self, path: &str) -> io::Result<u64> {
         let mut landed = self.landed.lock().unwrap();
         let res = self.below.len(path);
-        if let (Ok(n), Some((bytes, _))) = (&res, landed.files.get(path)) {
-            if *n > bytes.len() as u64 {
-                landed.note(path, *n, &[]);
+        match (&res, landed.files.get(path)) {
+            (Ok(n), Some((bytes, _))) if *n > bytes.len() as u64 => landed.note(path, *n, &[]),
+            (Ok(_), None) => {
+                if let Ok(bytes) = self.below.read_all(path) {
+                    landed.files.insert(path.to_string(), (bytes, Vec::new()));
+                }
             }
+            _ => {}
         }
         res
     }
