@@ -17,7 +17,7 @@
 //!   racing the open sees either no cache or a watermark mismatch,
 //!   never a stale cache with a matching stamp);
 //! - the **covered byte length of every index dropping**: a writer in
-//!   a still-open session appends without changing the session count,
+//!   a still-open session appends without changing the watermark,
 //!   so a grown dropping means "decode just the tail"; a shrunk or
 //!   vanished one means the world changed under us — rebuild.
 //!
@@ -31,7 +31,7 @@
 
 use crate::backend::Backend;
 use crate::container::{discover_droppings, epoch_watermark, ContainerPaths};
-use crate::index::{self, GetLe, IndexEntry, PutLe};
+use crate::index::{self, Backing, GetLe, IndexEntry, PutLe};
 use std::io;
 
 /// Magic tag at byte 0 of every canonical index ("PLFSCAN2").
@@ -45,9 +45,8 @@ pub const CANONICAL_MAGIC: u64 = u64::from_le_bytes(*b"PLFSCAN2");
 /// A decoded flattened-index cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CanonicalIndex {
-    /// The container's epoch watermark when the merge ran (named for
-    /// the legacy stamp it generalizes; the wire format is unchanged).
-    pub session_count: u64,
+    /// The container's epoch watermark when the merge ran.
+    pub watermark: u64,
     /// `(rank, index dropping byte length)` covered by the merge.
     pub covered: Vec<(u32, u64)>,
     /// The merged extent list as disjoint entries, logical order,
@@ -60,18 +59,18 @@ fn bad(why: &str) -> io::Error {
 }
 
 impl CanonicalIndex {
-    /// Wire format: magic, content CRC32, session count, covered table,
-    /// payload length, then the fragments raw-encoded. The CRC covers
-    /// every byte after itself, so the stamp-match check can never trust
-    /// a silently corrupted cache; the explicit payload length makes a
-    /// torn write detectable (the file is created then appended once; a
-    /// tear can only shorten it).
+    /// Wire format: magic, content CRC32, epoch watermark, covered
+    /// table, payload length, then the fragments raw-encoded. The CRC
+    /// covers every byte after itself, so the stamp-match check can
+    /// never trust a silently corrupted cache; the explicit payload
+    /// length makes a torn write detectable (the file is created then
+    /// appended once; a tear can only shorten it).
     pub fn encode(&self) -> Vec<u8> {
         let payload = index::encode_raw(&self.fragments);
         let mut buf = Vec::with_capacity(32 + self.covered.len() * 12 + payload.len());
         buf.put_u64_le(CANONICAL_MAGIC);
         buf.put_u32_le(0); // CRC placeholder, patched below
-        buf.put_u64_le(self.session_count);
+        buf.put_u64_le(self.watermark);
         buf.put_u32_le(self.covered.len() as u32);
         for &(rank, len) in &self.covered {
             buf.put_u32_le(rank);
@@ -96,7 +95,7 @@ impl CanonicalIndex {
         if crate::checksum::crc32(cur.rest()) != stored {
             return Err(bad("content checksum mismatch"));
         }
-        let session_count = cur.get_u64_le();
+        let watermark = cur.get_u64_le();
         let n = cur.get_u32_le() as usize;
         if cur.remaining() < n * 12 + 8 {
             return Err(bad("short covered table"));
@@ -111,8 +110,12 @@ impl CanonicalIndex {
         if cur.remaining() != payload_len {
             return Err(bad("torn payload"));
         }
-        let fragments = index::decode(cur.rest()).map_err(|e| bad(&e.to_string()))?;
-        Ok(CanonicalIndex { session_count, covered, fragments })
+        // Fragments are written with `encode_raw`: a pattern record here
+        // is corrupt, and rejecting it bounds the payload's expansion.
+        let fragments = index::decode_backed(cur.rest(), Backing::RawOnly)
+            .whole()
+            .map_err(|e| bad(&e.to_string()))?;
+        Ok(CanonicalIndex { watermark, covered, fragments })
     }
 }
 
@@ -164,9 +167,9 @@ fn freshness(
     paths: &ContainerPaths,
     canon: &CanonicalIndex,
 ) -> Result<Vec<Tail>, String> {
-    let session = epoch_watermark(backend, paths);
-    if session != canon.session_count {
-        return Err(format!("writer sessions advanced ({} -> {session})", canon.session_count));
+    let watermark = epoch_watermark(backend, paths);
+    if watermark != canon.watermark {
+        return Err(format!("writer sessions advanced ({} -> {watermark})", canon.watermark));
     }
     let droppings =
         discover_droppings(backend, paths).map_err(|e| format!("discovery failed: {e}"))?;
@@ -201,7 +204,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let c = CanonicalIndex {
-            session_count: 7,
+            watermark: 7,
             covered: vec![(0, 111), (3, 222)],
             fragments: vec![frag(0, 10, 0, 0, 5), frag(10, 20, 0, 3, 9)],
         };
@@ -211,14 +214,14 @@ mod tests {
 
     #[test]
     fn roundtrip_empty() {
-        let c = CanonicalIndex { session_count: 0, covered: vec![], fragments: vec![] };
+        let c = CanonicalIndex { watermark: 0, covered: vec![], fragments: vec![] };
         assert_eq!(CanonicalIndex::decode(&c.encode()).unwrap(), c);
     }
 
     #[test]
     fn torn_and_garbage_blobs_rejected() {
         let c = CanonicalIndex {
-            session_count: 1,
+            watermark: 1,
             covered: vec![(0, 37)],
             fragments: vec![frag(0, 10, 0, 0, 5)],
         };
@@ -239,7 +242,7 @@ mod tests {
         // Regression: the cache used to be trusted on stamp match
         // alone, so a flipped bit silently poisoned every warm open.
         let c = CanonicalIndex {
-            session_count: 3,
+            watermark: 3,
             covered: vec![(0, 100), (1, 200), (9, 50)],
             fragments: (0..20).map(|i| frag(i * 32, 16, i * 16, (i % 3) as u32, 100 + i)).collect(),
         };

@@ -31,13 +31,12 @@ pub const OPENHOSTS: &str = "openhosts";
 /// Subdirectory holding close-time metadata droppings.
 pub const META: &str = "meta";
 /// Subdirectory holding session-reservation markers (see
-/// [`reserve_session`]). Unlike `openhosts/` + `meta/` counts the
-/// markers form a *monotone* session ledger: the highest marker never
-/// goes backwards, so a recovered container can never re-issue an
-/// epoch older droppings already stamped. The ledger used to grow one
-/// marker per session forever; [`compact_epoch_ledger`] (run by
-/// `fsck::repair`) now collapses it to the single high-water marker,
-/// which carries the same monotone guarantee on its own.
+/// [`reserve_session`]). The markers form a *monotone* session ledger:
+/// the highest marker never goes backwards, so a recovered container
+/// can never re-issue an epoch older droppings already stamped.
+/// [`compact_epoch_ledger`] (run by `fsck::repair`) collapses the
+/// ledger to its single high-water marker, which carries the same
+/// monotone guarantee on its own.
 pub const EPOCHS: &str = "epochs";
 
 /// Static naming helpers for a container rooted at `base`.
@@ -225,29 +224,15 @@ pub fn read_meta(backend: &dyn Backend, paths: &ContainerPaths) -> io::Result<Ve
     Ok(out)
 }
 
-/// Sessions recorded so far (open droppings + meta droppings).
-///
-/// **Not monotone** — a crashed-then-repaired container can report a
-/// lower count than it ever handed out (repair clears stale open
-/// droppings), and **not atomic** — two concurrent openers can read the
-/// same count. It survives only as the legacy fallback inside
-/// [`epoch_watermark`] for containers written before session markers
-/// existed; new-session allocation goes through [`reserve_session`].
-pub fn session_count(backend: &dyn Backend, paths: &ContainerPaths) -> u64 {
-    let opens = backend.list(&paths.openhosts_dir()).map(|v| v.len()).unwrap_or(0);
-    let metas = backend.list(&paths.meta_dir()).map(|v| v.len()).unwrap_or(0);
-    (opens + metas) as u64
+/// The session number an `epochs/e.<n>` marker name reserves.
+fn marker(name: &str) -> Option<u64> {
+    name.strip_prefix("e.")?.parse().ok()
 }
 
-/// Highest session number ever reserved, or `None` for a container with
-/// no markers (pre-marker legacy, or never opened for write).
-fn max_reserved(backend: &dyn Backend, paths: &ContainerPaths) -> Option<u64> {
-    backend
-        .list(&paths.epochs_dir())
-        .ok()?
-        .iter()
-        .filter_map(|n| n.strip_prefix("e.").and_then(|s| s.parse::<u64>().ok()))
-        .max()
+/// Highest session number ever reserved, or `None` for a container
+/// never opened for write.
+fn max_reserved(backend: &dyn Backend, paths: &ContainerPaths) -> io::Result<Option<u64>> {
+    Ok(backend.list(&paths.epochs_dir())?.iter().filter_map(|n| marker(n)).max())
 }
 
 /// Atomically reserve the next session number via a CAS loop over
@@ -255,8 +240,7 @@ fn max_reserved(backend: &dyn Backend, paths: &ContainerPaths) -> Option<u64> {
 /// exclusive-create primitive). Of any number of concurrent callers,
 /// each gets a distinct session: the marker is reserved *before* the
 /// caller computes its stamp-epoch floor, which is what makes minted
-/// epochs disjoint — the bug the old read-then-compute
-/// `session_count` path allowed.
+/// epochs disjoint even between concurrent openers.
 ///
 /// The *highest* marker is never removed, so the ledger is monotone
 /// across crash/repair cycles: a recovered container can never
@@ -265,9 +249,6 @@ fn max_reserved(backend: &dyn Backend, paths: &ContainerPaths) -> Option<u64> {
 /// [`compact_epoch_ledger`]; the post-win validation below is what
 /// keeps that safe against a reserver holding a stale watermark.
 pub fn reserve_session(backend: &dyn Backend, paths: &ContainerPaths) -> io::Result<u64> {
-    // Start above both the marker ledger and the legacy count, so a
-    // container upgraded mid-life (droppings stamped under the old
-    // scheme) still gets a fresh epoch.
     let mut next = epoch_watermark(backend, paths);
     loop {
         match backend.create_new(&paths.epoch_marker(next)) {
@@ -280,12 +261,7 @@ pub fn reserve_session(backend: &dyn Backend, paths: &ContainerPaths) -> io::Res
                 // does not exist, so "no marker above `next`" proves
                 // `next` really is the new maximum. Release the
                 // suspect slot and retry above the observed ceiling.
-                let ceiling = backend
-                    .list(&paths.epochs_dir())?
-                    .iter()
-                    .filter_map(|n| n.strip_prefix("e.").and_then(|s| s.parse::<u64>().ok()))
-                    .max()
-                    .unwrap_or(next);
+                let ceiling = max_reserved(backend, paths)?.unwrap_or(next);
                 if ceiling > next {
                     // Best-effort release; a concurrent compactor may
                     // already have swept the suspect marker.
@@ -332,14 +308,11 @@ pub fn compact_epoch_ledger(
 ) -> io::Result<Option<(usize, u64)>> {
     let names = match backend.list(&paths.epochs_dir()) {
         Ok(names) => names,
-        // No ledger directory (legacy container): nothing to compact.
+        // No ledger directory (not a container): nothing to compact.
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    let reserved: Vec<u64> = names
-        .iter()
-        .filter_map(|n| n.strip_prefix("e.").and_then(|s| s.parse::<u64>().ok()))
-        .collect();
+    let reserved: Vec<u64> = names.iter().filter_map(|n| marker(n)).collect();
     let Some(&high_water) = reserved.iter().max() else {
         return Ok(None);
     };
@@ -361,16 +334,13 @@ pub fn compact_epoch_ledger(
     }
 }
 
-/// One past the highest session ever reserved — the freshness stamp
-/// readers compare against (see [`crate::canonical`]). Monotone: unlike
-/// [`session_count`] it never moves backwards when sessions close or
-/// repair clears stale open droppings. Falls back to the legacy count
-/// for marker-less containers so pre-marker stores stay readable.
+/// One past the highest session ever reserved (0 before the first) —
+/// the freshness stamp readers compare against (see
+/// [`crate::canonical`]). Monotone: it never moves backwards when
+/// sessions close, when repair clears stale open droppings, or when
+/// [`compact_epoch_ledger`] sweeps the markers below the high water.
 pub fn epoch_watermark(backend: &dyn Backend, paths: &ContainerPaths) -> u64 {
-    match max_reserved(backend, paths) {
-        Some(hi) => (hi + 1).max(session_count(backend, paths)),
-        None => session_count(backend, paths),
-    }
+    max_reserved(backend, paths).ok().flatten().map_or(0, |hi| hi + 1)
 }
 
 #[cfg(test)]
@@ -424,47 +394,26 @@ mod tests {
     }
 
     #[test]
-    fn session_count_tracks_opens_and_closes() {
-        let b = MemBackend::new();
-        let p = ContainerPaths::new("/f", 2);
-        create_container(&b, &p).unwrap();
-        assert_eq!(session_count(&b, &p), 0);
-        b.create(&p.open_dropping(0, 0)).unwrap();
-        assert_eq!(session_count(&b, &p), 1);
-        b.create(&p.meta_dropping(0, 10, 10, 5)).unwrap();
-        assert_eq!(session_count(&b, &p), 2);
-    }
-
-    #[test]
     fn reserve_session_is_sequential_and_monotone() {
         let b = MemBackend::new();
         let p = ContainerPaths::new("/f", 2);
         create_container(&b, &p).unwrap();
+        // Only markers count: open and meta droppings do not.
+        b.create(&p.meta_dropping(0, 10, 10, 5)).unwrap();
+        assert_eq!(epoch_watermark(&b, &p), 0);
         assert_eq!(reserve_session(&b, &p).unwrap(), 0);
         assert_eq!(reserve_session(&b, &p).unwrap(), 1);
         assert_eq!(epoch_watermark(&b, &p), 2);
-        // The watermark survives what `session_count` cannot: clearing
-        // the open droppings (what fsck repair does after a crash).
-        b.create(&p.open_dropping(0, 0)).unwrap();
-        b.remove(&p.open_dropping(0, 0)).unwrap();
-        assert_eq!(session_count(&b, &p), 0, "the legacy count collapsed");
-        assert_eq!(epoch_watermark(&b, &p), 2, "the marker ledger did not");
+        // Session 1 mid-close holds its open and its meta dropping at
+        // once, and still counts once.
+        b.create(&p.open_dropping(1, 1)).unwrap();
+        b.create(&p.meta_dropping(1, 20, 10, 6)).unwrap();
+        assert_eq!(epoch_watermark(&b, &p), 2);
+        // The watermark survives clearing the open droppings (what
+        // fsck repair does after a crash): the marker ledger holds it.
+        b.remove(&p.open_dropping(1, 1)).unwrap();
+        assert_eq!(epoch_watermark(&b, &p), 2, "the marker ledger survives");
         assert_eq!(reserve_session(&b, &p).unwrap(), 2);
-    }
-
-    /// Upgrade path: a container whose sessions predate markers must
-    /// hand out epochs above everything the legacy count ever covered.
-    #[test]
-    fn reserve_session_starts_above_legacy_sessions() {
-        let b = MemBackend::new();
-        let p = ContainerPaths::new("/f", 2);
-        create_container(&b, &p).unwrap();
-        b.create(&p.meta_dropping(0, 10, 10, 5)).unwrap();
-        b.create(&p.meta_dropping(1, 10, 10, 5)).unwrap();
-        b.create(&p.open_dropping(2, 0)).unwrap();
-        assert_eq!(epoch_watermark(&b, &p), 3, "legacy fallback");
-        assert_eq!(reserve_session(&b, &p).unwrap(), 3);
-        assert_eq!(epoch_watermark(&b, &p), 4);
     }
 
     /// The CAS under a real race: concurrent reservations must come out

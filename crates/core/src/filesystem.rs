@@ -167,9 +167,9 @@ impl Plfs {
             create_container(&self.retried(), &paths)?;
         }
         // Atomically reserve this session *before* computing its epoch
-        // floor. The old read-then-compute over `session_count` let two
-        // concurrent opens read the same count and mint colliding stamp
-        // epochs, silently corrupting overwrite resolution; the CAS
+        // floor. Reading a count of sessions and computing from it would
+        // let two concurrent opens read the same count and mint colliding
+        // stamp epochs, silently corrupting overwrite resolution; the CAS
         // marker makes every reservation globally unique.
         let session = reserve_session(&self.retried(), &paths)?;
         // A new session's stamps must exceed everything already stored:

@@ -5,16 +5,18 @@
 //! specific, locally-detectable inconsistencies. Every check here starts
 //! from one **survey** of the container, which reads it once: one walk
 //! of the hostdirs, the `openhosts` listing, and per rank the index
-//! dropping (read once and decoded with [`decode_prefix`]), the data
-//! dropping's length and both checksum sidecars (through
-//! `Sidecar::load`), plus the flattened-index cache (through
-//! `canonical::load`, the loader the reader uses too). Each recovery
-//! rule is decided in one place, on the survey:
+//! dropping (read once, then decoded as far as its records go and as
+//! far as its data dropping backs them), the data dropping's length and
+//! both checksum sidecars (through `Sidecar::load`), plus the
+//! flattened-index cache (through `canonical::load`, the loader the
+//! reader uses too). Each recovery rule is decided in one place, on the
+//! survey:
 //!
 //! - *the index is torn*: bytes past the index dropping's decodable
 //!   prefix (`Rank::torn`, with the decoder's reason);
 //! - *an extent dangles*: an entry ends past its data dropping
-//!   (`dangles`);
+//!   (`dangles`), or a pattern record maps entries past it (counted as
+//!   one finding per record, never expanded);
 //! - *a tail is orphaned*: data bytes past every indexed extent
 //!   (`Rank::orphaned`);
 //! - *data has no index*: a data dropping whose rank left no index
@@ -44,7 +46,7 @@ use crate::checksum::{Sidecar, CHK_HEADER_BYTES};
 use crate::container::{
     compact_epoch_ledger, dropping_rank, droppings_in, hostdir_files, is_container, ContainerPaths,
 };
-use crate::index::{decode, decode_prefix, encode_raw, IndexEntry};
+use crate::index::{decode_backed, encode_raw, Backing, Dangling, IndexEntry};
 use crate::pool;
 use crate::retry::len_or_zero_once;
 use std::collections::{HashMap, HashSet};
@@ -96,8 +98,8 @@ pub struct FsckReport {
     pub logical_eof: u64,
     pub errors: Vec<FsckError>,
     /// Per rank: dropping bytes (data + index) not covered by a
-    /// checksum sidecar — legacy sessions, a sidecar `repair` removed,
-    /// or a crash before the sidecar flush. Informational, never an error:
+    /// checksum sidecar — a sidecar `repair` removed, or a crash before
+    /// the sidecar flush. Informational, never an error:
     /// uncovered bytes read fine, they just can't be verified. Use
     /// [`scrub`] to checksum-walk what *is* covered.
     pub uncovered: Vec<(u32, u64)>,
@@ -158,8 +160,11 @@ impl Dropping {
 /// One rank's droppings, as surveyed.
 struct Rank {
     rank: u32,
-    /// The entries of the index dropping's decodable prefix...
+    /// The entries of the index dropping's decodable prefix, each
+    /// pattern record cut to the entries its data backs...
     entries: Vec<IndexEntry>,
+    /// ...what pattern records of that prefix map past the data...
+    dangling: Vec<Dangling>,
     /// ...which is its first `consumed` bytes.
     consumed: u64,
     /// Why the bytes past `consumed` do not decode: the index is torn.
@@ -191,15 +196,14 @@ impl Rank {
             Ok::<_, io::Error>(Dropping { path, len, sidecar_path, sidecar })
         };
         let blob = backend.read_all(&index_path)?;
-        let (entries, consumed) = decode_prefix(&blob);
-        // Decoded alone, the first bad record says why it is bad.
-        let torn = decode(&blob[consumed..]).err().map(|e| e.to_string());
         let data_len = len_or_zero_once(backend, &data_path)?;
+        let decoded = decode_backed(&blob, Backing::Data(data_len));
         Ok(Rank {
             rank,
-            entries,
-            consumed: consumed as u64,
-            torn,
+            entries: decoded.entries,
+            dangling: decoded.dangling,
+            consumed: decoded.consumed as u64,
+            torn: decoded.torn.map(|e| e.to_string()),
             data: dropping(data_path, data_len, paths.chk_dropping(rank))?,
             index: dropping(index_path, blob.len() as u64, paths.index_chk_dropping(rank))?,
         })
@@ -207,7 +211,8 @@ impl Rank {
 
     /// Data bytes past every indexed extent: an unindexed tail.
     fn orphaned(&self) -> Option<u64> {
-        let highest = self.entries.iter().map(physical_end).max().unwrap_or(0);
+        let ends = self.entries.iter().map(physical_end);
+        let highest = ends.chain(self.dangling.iter().map(|d| d.physical_end)).max().unwrap_or(0);
         self.data.len.checked_sub(highest).filter(|&n| n > 0)
     }
 }
@@ -266,6 +271,12 @@ impl Survey {
                     let physical_end = physical_end(e);
                     errors.push(FsckError::DanglingExtent { rank, physical_end, data_len });
                 }
+            }
+            for d in &r.dangling {
+                report.entries += d.entries as usize;
+                report.logical_eof = report.logical_eof.max(d.logical_end);
+                let physical_end = d.physical_end;
+                errors.push(FsckError::DanglingExtent { rank, physical_end, data_len });
             }
             if let Some(orphaned_bytes) = r.orphaned() {
                 errors.push(FsckError::OrphanedData { rank, orphaned_bytes });
@@ -647,9 +658,10 @@ pub fn repair(
         }
         let (n, data_len) = (r.entries.len(), r.data.len);
         r.entries.retain(|e| !dangles(e, data_len));
-        if r.entries.len() < n {
+        let unbacked: u64 = r.dangling.drain(..).map(|d| d.entries).sum();
+        if r.entries.len() < n || unbacked > 0 {
             replace_file_atomic(backend, &r.index.path, &encode_raw(&r.entries))?;
-            let dropped_entries = n - r.entries.len();
+            let dropped_entries = n - r.entries.len() + unbacked as usize;
             actions.push(RepairAction::TrimmedDanglingExtents { rank, dropped_entries });
             index_rewritten.insert(rank);
         }
@@ -1424,33 +1436,52 @@ mod tests {
         assert!(fsck_errs > 0 && repair_errs > 0, "no injected failure was hit");
     }
 
-    /// An upper bound on the entries `decode_prefix` expands `blob`
-    /// into: records framed as the decoder frames them, checksummed ones
-    /// only while their CRC holds, extents not range-checked.
-    fn expansion_bound(blob: &[u8]) -> u64 {
-        let (mut pos, mut entries) = (0, 0u64);
-        while let Some(&tag) = blob.get(pos) {
-            let (body, crc) = match tag {
-                1 | 3 => (crate::index::RAW_RECORD_BYTES, tag == 3),
-                2 | 4 => (crate::index::PATTERN_RECORD_BYTES, tag == 4),
-                _ => break,
-            };
-            let end = pos + 1 + body + if crc { crate::index::RECORD_CRC_BYTES } else { 0 };
-            let Some(record) = blob.get(pos..end) else { break };
-            if crc
-                && crate::checksum::crc32(&record[..1 + body]).to_le_bytes() != record[1 + body..]
-            {
-                break;
-            }
-            entries += match body {
-                crate::index::PATTERN_RECORD_BYTES => {
-                    u32::from_le_bytes(record[25..29].try_into().unwrap()) as u64
-                }
-                _ => 1,
-            };
-            pos = end;
-        }
-        entries
+    /// A pattern record with a valid CRC and `count = u32::MAX` maps
+    /// 2³² entries of 4 KiB onto rank 1's 1000 B data dropping. Nothing
+    /// may expand it: `fsck` reports one dangling extent, the reader
+    /// (warm with the record as a tail, and cold) refuses to open, and
+    /// `repair` drops the record and keeps rank 1's real write.
+    #[test]
+    fn a_huge_pattern_record_is_never_expanded() {
+        use crate::index::{put_pattern, PatternEntry};
+        let (fs, b) = setup();
+        healthy(&fs);
+        let expected = fs.open_reader("/f").unwrap().read_all().unwrap();
+        assert!(b.exists("/f/canonical.index"));
+        let huge = PatternEntry {
+            logical_start: 1 << 20,
+            length: 4096,
+            logical_stride: 4096,
+            count: u32::MAX,
+            physical_start: 0,
+            writer: 1,
+            timestamp_start: 1 << 50,
+        };
+        let mut record = Vec::new();
+        put_pattern(&mut record, &huge);
+        let index = crate::container::ContainerPaths::new("/f", 4).index_dropping(1);
+        b.append(&index, &record).unwrap();
+
+        let count = u64::from(u32::MAX);
+        let rep = fsck(b.as_ref(), "/f", 4).unwrap();
+        let dangling =
+            FsckError::DanglingExtent { rank: 1, physical_end: count * 4096, data_len: 1000 };
+        assert_eq!(rep.errors, vec![dangling]);
+        assert_eq!(rep.entries as u64, 3 + count);
+        assert_eq!(rep.logical_eof, (1 << 20) + count * 4096);
+        let err = fs.open_reader("/f").err().expect("the reader refuses the record");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        b.remove("/f/canonical.index").unwrap();
+        let err = fs.open_reader("/f").err().expect("the cold reader refuses it too");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+
+        let rep = repair(b.as_ref(), "/f", 4, &RepairOptions::default()).unwrap();
+        assert!(rep.actions.contains(&RepairAction::TrimmedDanglingExtents {
+            rank: 1,
+            dropped_entries: u32::MAX as usize
+        }));
+        assert!(rep.after.is_clean(), "{:?}", rep.after.errors);
+        assert_eq!(fs.open_reader("/f").unwrap().read_all().unwrap(), expected);
     }
 
     /// Hostile bytes in the parsers the survey reads: every truncation,
@@ -1458,14 +1489,12 @@ mod tests {
     /// dropping from `encode_compressed` (tags 3 and 4), of a
     /// `canonical.index` and of a sidecar. Each parser returns a typed
     /// error or a consistent value, never a panic, and `fsck` reports
-    /// each rotted index dropping. The legacy pattern tag `2` carries no
-    /// CRC, so a replacement that turns a byte into tag `2` can make a
-    /// rotted `count` expand to up to 2³² entries: such inputs are
-    /// counted and skipped, not decoded.
+    /// each rotted index dropping. Every input is decoded: no record
+    /// kind escapes its checksum.
     #[test]
     fn survey_parsers_take_hostile_bytes() {
         use crate::checksum::{chk_header, crc32, VERIFY_BLOCK};
-        let mut skipped = 0;
+        use crate::index::{decode, decode_prefix};
         for seed in 0..4u64 {
             let mut rng = simkit::Rng::new(0xB17E5 + seed);
             // A strided run (one pattern record) and scattered writes.
@@ -1492,7 +1521,7 @@ mod tests {
             let index = crate::index::encode_compressed(&entries);
             assert!(index.contains(&4) && index.len() < entries.len() * 41, "no pattern record");
             let canon = CanonicalIndex {
-                session_count: 3 + seed,
+                watermark: 3 + seed,
                 covered: vec![(0, 123), (1, index.len() as u64)],
                 fragments: entries[..5].to_vec(),
             }
@@ -1520,10 +1549,6 @@ mod tests {
                     let ctx = format!("seed {seed} {kind} of {} B", v.len());
                     match kind {
                         "index" => {
-                            if expansion_bound(v) > 1 << 16 {
-                                skipped += 1;
-                                continue;
-                            }
                             let (got, consumed) = decode_prefix(v);
                             assert!(consumed <= v.len(), "{ctx}");
                             for e in &got {
@@ -1593,6 +1618,5 @@ mod tests {
                 }
             }
         }
-        eprintln!("{skipped} rotted index droppings skipped: a legacy pattern record could expand them past 65536 entries");
     }
 }

@@ -13,14 +13,15 @@
 //!   index-compression extension the report lists among post-PDSI PLFS
 //!   work (§1.1, item 5).
 //!
-//! Since the integrity work, records are *framed with a checksum*: the
-//! encoder emits tags `3`/`4` (raw/pattern), whose body
-//! is followed by a CRC32 of the tag byte plus body. The decoder still
-//! accepts the legacy unchecksummed tags `1`/`2`, so containers written
-//! before this format stay readable (they are merely reported as
-//! "uncovered" by `fsck`); a checksum mismatch decodes as a corrupt
-//! record, exactly like a bad tag — detected at open on the cold path,
-//! or by `fsck::scrub` on warm (canonical-cache) opens.
+//! There is one on-disk format: every record is *framed with a
+//! checksum*. Tag `3` (raw) or `4` (pattern) is followed by the body
+//! and a CRC32 of the tag byte plus body. Any other tag, including the
+//! unchecksummed `1`/`2` of containers older than this format (which
+//! are not read), and any checksum mismatch decode as a corrupt record:
+//! detected at open on the cold path, or by `fsck::scrub` on warm
+//! (canonical-cache) opens. A pattern record expands only as far as
+//! its rank's data dropping backs it (see `Backing`), so one record
+//! can never allocate past what the data could hold.
 //!
 //! Merging is a sweep-line over write boundaries: O(n log n) in the
 //! number of entries regardless of how pathologically they interleave.
@@ -118,12 +119,9 @@ pub const PATTERN_RECORD_BYTES: usize = 8 + 8 + 8 + 4 + 8 + 4 + 8;
 /// Trailing CRC32 on every checksummed record.
 pub const RECORD_CRC_BYTES: usize = 4;
 
-/// Legacy unchecksummed tags — decoded, never emitted.
-const TAG_RAW: u8 = 1;
-const TAG_PATTERN: u8 = 2;
-/// Checksummed framing: tag + body + CRC32(tag ‖ body).
-const TAG_RAW_C: u8 = 3;
-const TAG_PATTERN_C: u8 = 4;
+/// Record tags. Every record is framed as tag + body + CRC32(tag ‖ body).
+const TAG_RAW: u8 = 3;
+const TAG_PATTERN: u8 = 4;
 
 /// A compressed run: `count` writes of `length` bytes, logical offsets
 /// advancing by `logical_stride` (which may be negative — a rank
@@ -145,14 +143,19 @@ impl PatternEntry {
     /// that pass the decoder's range check (decode does); arithmetic here is
     /// unchecked.
     pub fn expand(&self) -> impl Iterator<Item = IndexEntry> + '_ {
-        (0..self.count as u64).map(move |i| IndexEntry {
+        (0..self.count as u64).map(move |i| self.entry(i))
+    }
+
+    /// The `i`th entry of the run (unchecked, as in [`PatternEntry::expand`]).
+    fn entry(&self, i: u64) -> IndexEntry {
+        IndexEntry {
             logical_offset: (self.logical_start as i128 + i as i128 * self.logical_stride as i128)
                 as u64,
             length: self.length,
             physical_offset: self.physical_start + i * self.length,
             writer: self.writer,
             timestamp: self.timestamp_start + i,
-        })
+        }
     }
 }
 
@@ -162,9 +165,11 @@ fn entry_in_range(e: &IndexEntry) -> bool {
         && e.physical_offset.checked_add(e.length).is_some()
 }
 
-/// Does every extent the pattern expands to fit in u64 space?
+/// Does the pattern hold at least one non-empty entry, and does every
+/// extent it expands to fit in u64 space? The encoder never compresses
+/// empty writes, so an empty pattern is a corrupt record.
 fn pattern_in_range(p: &PatternEntry) -> bool {
-    if p.count == 0 {
+    if p.count == 0 || p.length == 0 {
         return false;
     }
     let n1 = (p.count - 1) as i128;
@@ -181,6 +186,32 @@ fn pattern_in_range(p: &PatternEntry) -> bool {
     p.timestamp_start.checked_add(n1 as u64).is_some()
 }
 
+/// Append one raw record: tag, body, `CRC32(tag ‖ body)`.
+fn put_raw(buf: &mut Vec<u8>, e: &IndexEntry) {
+    let start = buf.len();
+    buf.put_u8(TAG_RAW);
+    buf.put_u64_le(e.logical_offset);
+    buf.put_u64_le(e.length);
+    buf.put_u64_le(e.physical_offset);
+    buf.put_u32_le(e.writer);
+    buf.put_u64_le(e.timestamp);
+    seal_record(buf, start);
+}
+
+/// Append one pattern record: tag, body, `CRC32(tag ‖ body)`.
+pub(crate) fn put_pattern(buf: &mut Vec<u8>, p: &PatternEntry) {
+    let start = buf.len();
+    buf.put_u8(TAG_PATTERN);
+    buf.put_u64_le(p.logical_start);
+    buf.put_u64_le(p.length);
+    buf.put_u64_le(p.logical_stride as u64);
+    buf.put_u32_le(p.count);
+    buf.put_u64_le(p.physical_start);
+    buf.put_u32_le(p.writer);
+    buf.put_u64_le(p.timestamp_start);
+    seal_record(buf, start);
+}
+
 /// Append `CRC32(tag ‖ body)` for the record that started at `start`.
 fn seal_record(buf: &mut Vec<u8>, start: usize) {
     let crc = crate::checksum::crc32(&buf[start..]);
@@ -191,14 +222,7 @@ fn seal_record(buf: &mut Vec<u8>, start: usize) {
 pub fn encode_raw(entries: &[IndexEntry]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(entries.len() * (RAW_RECORD_BYTES + 1 + RECORD_CRC_BYTES));
     for e in entries {
-        let start = buf.len();
-        buf.put_u8(TAG_RAW_C);
-        buf.put_u64_le(e.logical_offset);
-        buf.put_u64_le(e.length);
-        buf.put_u64_le(e.physical_offset);
-        buf.put_u32_le(e.writer);
-        buf.put_u64_le(e.timestamp);
-        seal_record(&mut buf, start);
+        put_raw(&mut buf, e);
     }
     buf
 }
@@ -214,27 +238,19 @@ pub fn encode_compressed(entries: &[IndexEntry]) -> Vec<u8> {
         if run >= 3 {
             let e0 = entries[i];
             let stride = (entries[i + 1].logical_offset as i128 - e0.logical_offset as i128) as i64;
-            let start = buf.len();
-            buf.put_u8(TAG_PATTERN_C);
-            buf.put_u64_le(e0.logical_offset);
-            buf.put_u64_le(e0.length);
-            buf.put_u64_le(stride as u64);
-            buf.put_u32_le(run as u32);
-            buf.put_u64_le(e0.physical_offset);
-            buf.put_u32_le(e0.writer);
-            buf.put_u64_le(e0.timestamp);
-            seal_record(&mut buf, start);
+            let p = PatternEntry {
+                logical_start: e0.logical_offset,
+                length: e0.length,
+                logical_stride: stride,
+                count: run as u32,
+                physical_start: e0.physical_offset,
+                writer: e0.writer,
+                timestamp_start: e0.timestamp,
+            };
+            put_pattern(&mut buf, &p);
             i += run;
         } else {
-            let e = entries[i];
-            let start = buf.len();
-            buf.put_u8(TAG_RAW_C);
-            buf.put_u64_le(e.logical_offset);
-            buf.put_u64_le(e.length);
-            buf.put_u64_le(e.physical_offset);
-            buf.put_u32_le(e.writer);
-            buf.put_u64_le(e.timestamp);
-            seal_record(&mut buf, start);
+            put_raw(&mut buf, &entries[i]);
             i += 1;
         }
     }
@@ -243,7 +259,7 @@ pub fn encode_compressed(entries: &[IndexEntry]) -> Vec<u8> {
 
 /// Longest prefix of `entries` forming a compressible run. The logical
 /// stride may be negative (reverse-strided checkpoints compress too)
-/// but not zero, and must fit an i64.
+/// but not zero, and must fit an i64; empty writes never compress.
 fn run_length(entries: &[IndexEntry]) -> usize {
     if entries.len() < 2 {
         return entries.len().min(1);
@@ -252,6 +268,7 @@ fn run_length(entries: &[IndexEntry]) -> usize {
     let e1 = entries[1];
     let stride = e1.logical_offset as i128 - e0.logical_offset as i128;
     if e1.length != e0.length
+        || e0.length == 0
         || e1.writer != e0.writer
         || stride == 0
         || i64::try_from(stride).is_err()
@@ -277,39 +294,91 @@ fn run_length(entries: &[IndexEntry]) -> usize {
     n
 }
 
-/// Why one record failed to decode.
-enum RecordError {
-    /// Tag seen but the record body is cut short.
-    Truncated,
-    /// Unknown tag byte.
-    BadTag(u8),
-    /// Well-formed on the wire but describes extents outside u64 space
-    /// (a corrupt dropping; accepting it would poison the merge).
-    Invalid(&'static str),
+/// How far a pattern record may expand when decoded.
+#[derive(Clone, Copy)]
+pub(crate) enum Backing {
+    /// Not at all: the stream holds raw records only (a
+    /// `canonical.index` payload, written with [`encode_raw`]), so a
+    /// pattern tag is a bad tag.
+    RawOnly,
+    /// To the end of the rank's data dropping, which holds this many
+    /// bytes. A pattern's entries past it are counted as [`Dangling`],
+    /// never expanded, so a record allocates only what the data backs.
+    Data(u64),
 }
 
-/// Decode one record, appending its entries to `out`. On error the
-/// cursor position is unspecified; callers rewind to their last good
+/// The entries of one pattern record that end past its data dropping:
+/// the record landed, the bytes it maps did not (or were cut away).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Dangling {
+    /// How many of the record's entries end past the data.
+    pub entries: u64,
+    /// Where the record's last entry ends in the data dropping.
+    pub physical_end: u64,
+    /// One past the highest logical byte those entries map.
+    pub logical_end: u64,
+}
+
+/// An index stream, decoded as far as its records go.
+pub(crate) struct Decoded {
+    /// The entries of every whole record before the first that does not
+    /// decode; a pattern record gives only the entries its data backs.
+    pub entries: Vec<IndexEntry>,
+    /// What pattern records map past their data, in record order.
+    pub dangling: Vec<Dangling>,
+    /// Bytes of whole records decoded: fewer than the stream holds is a
+    /// torn or corrupt tail (the crash signature `fsck::repair` cuts).
+    pub consumed: usize,
+    /// Why the record at `consumed` does not decode.
+    pub torn: Option<io::Error>,
+}
+
+impl Decoded {
+    /// Every entry, or an error when a record does not decode or a
+    /// pattern record maps entries past its data.
+    pub(crate) fn whole(self) -> io::Result<Vec<IndexEntry>> {
+        if let Some(e) = self.torn {
+            return Err(e);
+        }
+        match self.dangling.first() {
+            None => Ok(self.entries),
+            Some(d) => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "index pattern record maps {} entries past its data dropping, to byte {}",
+                    d.entries, d.physical_end
+                ),
+            )),
+        }
+    }
+}
+
+fn invalid(why: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("invalid index record: {why}"))
+}
+
+/// Decode one record into `out`. On error nothing is appended and the
+/// cursor position is unspecified; callers stop at their last good
 /// offset.
-fn decode_record(cur: &mut GetLe, out: &mut Vec<IndexEntry>) -> Result<(), RecordError> {
+fn decode_record(cur: &mut GetLe, backing: Backing, out: &mut Decoded) -> io::Result<()> {
     let start = cur.pos;
     let tag = cur.get_u8();
-    // Checksummed tags: verify CRC32(tag ‖ body) before parsing the
-    // body, so a corrupt record can never parse into plausible entries.
-    let check_crc = |cur: &mut GetLe, body: usize| -> Result<(), RecordError> {
+    // Verify CRC32(tag ‖ body) before parsing the body, so a corrupt
+    // record can never parse into plausible entries.
+    let check_crc = |cur: &mut GetLe, body: usize| -> io::Result<()> {
         if cur.remaining() < body + RECORD_CRC_BYTES {
-            return Err(RecordError::Truncated);
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated index dropping"));
         }
         let stored = u32::from_le_bytes(
             cur.data[start + 1 + body..start + 1 + body + RECORD_CRC_BYTES].try_into().unwrap(),
         );
         if crate::checksum::crc32(&cur.data[start..start + 1 + body]) != stored {
-            return Err(RecordError::Invalid("index record checksum mismatch"));
+            return Err(invalid("index record checksum mismatch"));
         }
         Ok(())
     };
-    match tag {
-        TAG_RAW_C => {
+    match (tag, backing) {
+        (TAG_RAW, _) => {
             check_crc(cur, RAW_RECORD_BYTES)?;
             let e = IndexEntry {
                 logical_offset: cur.get_u64_le(),
@@ -320,12 +389,12 @@ fn decode_record(cur: &mut GetLe, out: &mut Vec<IndexEntry>) -> Result<(), Recor
             };
             cur.pos += RECORD_CRC_BYTES;
             if !entry_in_range(&e) {
-                return Err(RecordError::Invalid("entry extent overflows u64"));
+                return Err(invalid("entry extent overflows u64"));
             }
-            out.push(e);
+            out.entries.push(e);
             Ok(())
         }
-        TAG_PATTERN_C => {
+        (TAG_PATTERN, Backing::Data(data_len)) => {
             check_crc(cur, PATTERN_RECORD_BYTES)?;
             let p = PatternEntry {
                 logical_start: cur.get_u64_le(),
@@ -338,72 +407,49 @@ fn decode_record(cur: &mut GetLe, out: &mut Vec<IndexEntry>) -> Result<(), Recor
             };
             cur.pos += RECORD_CRC_BYTES;
             if !pattern_in_range(&p) {
-                return Err(RecordError::Invalid("pattern extent overflows u64"));
+                return Err(invalid("pattern extent empty or overflows u64"));
             }
-            out.extend(p.expand());
+            let count = u64::from(p.count);
+            let backed = (data_len.saturating_sub(p.physical_start) / p.length).min(count);
+            out.entries.extend(p.expand().take(backed as usize));
+            if backed < count {
+                // Entries are physically dense, so every one after the
+                // first unbacked entry is unbacked too.
+                let highest = if p.logical_stride < 0 { backed } else { count - 1 };
+                out.dangling.push(Dangling {
+                    entries: count - backed,
+                    physical_end: p.physical_start + count * p.length,
+                    logical_end: p.entry(highest).logical_offset + p.length,
+                });
+            }
             Ok(())
         }
-        TAG_RAW => {
-            if cur.remaining() < RAW_RECORD_BYTES {
-                return Err(RecordError::Truncated);
-            }
-            let e = IndexEntry {
-                logical_offset: cur.get_u64_le(),
-                length: cur.get_u64_le(),
-                physical_offset: cur.get_u64_le(),
-                writer: cur.get_u32_le(),
-                timestamp: cur.get_u64_le(),
-            };
-            if !entry_in_range(&e) {
-                return Err(RecordError::Invalid("entry extent overflows u64"));
-            }
-            out.push(e);
-            Ok(())
-        }
-        TAG_PATTERN => {
-            if cur.remaining() < PATTERN_RECORD_BYTES {
-                return Err(RecordError::Truncated);
-            }
-            let p = PatternEntry {
-                logical_start: cur.get_u64_le(),
-                length: cur.get_u64_le(),
-                logical_stride: cur.get_u64_le() as i64,
-                count: cur.get_u32_le(),
-                physical_start: cur.get_u64_le(),
-                writer: cur.get_u32_le(),
-                timestamp_start: cur.get_u64_le(),
-            };
-            if !pattern_in_range(&p) {
-                return Err(RecordError::Invalid("pattern extent overflows u64"));
-            }
-            out.extend(p.expand());
-            Ok(())
-        }
-        t => Err(RecordError::BadTag(t)),
+        _ => Err(io::Error::new(io::ErrorKind::InvalidData, format!("bad index record tag {tag}"))),
     }
 }
 
-/// Decode a dropping (either encoding) back into raw entries.
-pub fn decode(data: &[u8]) -> io::Result<Vec<IndexEntry>> {
-    let (entries, consumed) = decode_prefix(data);
-    if consumed < data.len() {
-        // Re-derive the error for the first undecodable record.
-        let mut cur = GetLe::new(&data[consumed..]);
-        let mut scratch = Vec::new();
-        return match decode_record(&mut cur, &mut scratch) {
-            Err(RecordError::Truncated) => Err(truncated()),
-            Err(RecordError::BadTag(tag)) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad index record tag {tag}"),
-            )),
-            Err(RecordError::Invalid(why)) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("invalid index record: {why}"),
-            )),
-            Ok(()) => unreachable!("decode_prefix stopped at a decodable record"),
-        };
+/// Decode whole records from the front of `data` until the first that
+/// does not decode, expanding pattern records only as far as `backing`
+/// allows.
+pub(crate) fn decode_backed(data: &[u8], backing: Backing) -> Decoded {
+    let mut cur = GetLe::new(data);
+    let mut out = Decoded { entries: Vec::new(), dangling: Vec::new(), consumed: 0, torn: None };
+    while cur.remaining() >= 1 {
+        if let Err(e) = decode_record(&mut cur, backing, &mut out) {
+            out.torn = Some(e);
+            break;
+        }
+        out.consumed = cur.pos;
     }
-    Ok(entries)
+    out
+}
+
+/// Decode a dropping (either record kind) back into raw entries.
+///
+/// With no data dropping at hand, pattern records expand in full; the
+/// reader and `fsck` bound each one by its rank's data instead.
+pub fn decode(data: &[u8]) -> io::Result<Vec<IndexEntry>> {
+    decode_backed(data, Backing::Data(u64::MAX)).whole()
 }
 
 /// Decode as many whole records as possible from the front of `data`.
@@ -412,24 +458,11 @@ pub fn decode(data: &[u8]) -> io::Result<Vec<IndexEntry>> {
 /// complete, valid records. `consumed == data.len()` means the blob is
 /// fully intact; anything less is a torn or corrupt tail (the crash
 /// signature `fsck::repair` truncates away). Records whose extents
-/// overflow u64 space count as corrupt.
+/// overflow u64 space count as corrupt. Patterns expand as in
+/// [`decode`].
 pub fn decode_prefix(data: &[u8]) -> (Vec<IndexEntry>, usize) {
-    let mut cur = GetLe::new(data);
-    let mut out = Vec::new();
-    let mut good = 0usize;
-    while cur.remaining() >= 1 {
-        let kept = out.len();
-        if decode_record(&mut cur, &mut out).is_err() {
-            out.truncate(kept);
-            break;
-        }
-        good = cur.pos;
-    }
-    (out, good)
-}
-
-fn truncated() -> io::Error {
-    io::Error::new(io::ErrorKind::UnexpectedEof, "truncated index dropping")
+    let d = decode_backed(data, Backing::Data(u64::MAX));
+    (d.entries, d.consumed)
 }
 
 /// An extent of the assembled logical file: `[start, end)` served from
@@ -907,31 +940,29 @@ mod tests {
     }
 
     #[test]
-    fn legacy_unchecksummed_tags_still_decode() {
-        // Pre-integrity containers framed records without a CRC; the
-        // decoder must keep reading them.
-        let entries = [e(0, 10, 0, 0, 1), e(20, 5, 10, 0, 2)];
-        let mut blob = Vec::new();
-        for e in &entries {
-            blob.put_u8(1); // legacy TAG_RAW
-            blob.put_u64_le(e.logical_offset);
-            blob.put_u64_le(e.length);
-            blob.put_u64_le(e.physical_offset);
-            blob.put_u32_le(e.writer);
-            blob.put_u64_le(e.timestamp);
+    fn unchecksummed_tags_are_bad_tags() {
+        // Tags 1 and 2 framed records without a CRC before this format;
+        // they decode as corrupt, like any other unknown tag.
+        let raw = {
+            let mut b = vec![1];
+            b.put_u64_le(0);
+            b.put_u64_le(10);
+            b.put_u64_le(0);
+            b.put_u32_le(0);
+            b.put_u64_le(1);
+            b
+        };
+        let mut pattern =
+            encode_compressed(&(0..3).map(|i| e(i * 8, 4, i * 4, 7, 9 + i)).collect::<Vec<_>>());
+        assert_eq!(pattern[0], TAG_PATTERN);
+        pattern[0] = 2;
+        pattern.truncate(1 + PATTERN_RECORD_BYTES);
+        for (tag, blob) in [(1, raw), (2, pattern)] {
+            let err = decode(&blob).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(err.to_string(), format!("bad index record tag {tag}"));
+            assert_eq!(decode_prefix(&blob), (vec![], 0), "tag {tag}: nothing consumed");
         }
-        blob.put_u8(2); // legacy TAG_PATTERN
-        blob.put_u64_le(100);
-        blob.put_u64_le(4);
-        blob.put_u64_le(8);
-        blob.put_u32_le(3);
-        blob.put_u64_le(40);
-        blob.put_u32_le(7);
-        blob.put_u64_le(9);
-        let decoded = decode(&blob).unwrap();
-        assert_eq!(&decoded[..2], &entries);
-        assert_eq!(decoded.len(), 5);
-        assert_eq!(decoded[2], e(100, 4, 40, 7, 9));
     }
 
     #[test]
@@ -953,52 +984,162 @@ mod tests {
         }
     }
 
+    fn pattern(logical_start: u64, length: u64, stride: i64, count: u32) -> PatternEntry {
+        PatternEntry {
+            logical_start,
+            length,
+            logical_stride: stride,
+            count,
+            physical_start: 0,
+            writer: 0,
+            timestamp_start: 1,
+        }
+    }
+
     #[test]
     fn decode_rejects_overflowing_pattern() {
-        // Pattern whose later repetitions run past u64::MAX, and one
-        // whose negative stride underflows 0.
+        // Checksummed pattern records whose later repetitions run past
+        // u64::MAX, whose negative stride underflows 0, or that hold no
+        // entry or only empty ones (which would expand to 2³² entries
+        // whatever the data holds).
         for p in [
-            PatternEntry {
-                logical_start: u64::MAX - 100,
-                length: 10,
-                logical_stride: 50,
-                count: 5,
-                physical_start: 0,
-                writer: 0,
-                timestamp_start: 1,
-            },
-            PatternEntry {
-                logical_start: 100,
-                length: 10,
-                logical_stride: -60,
-                count: 5,
-                physical_start: 0,
-                writer: 0,
-                timestamp_start: 1,
-            },
-            PatternEntry {
-                logical_start: 0,
-                length: 10,
-                logical_stride: 64,
-                count: 0,
-                physical_start: 0,
-                writer: 0,
-                timestamp_start: 1,
-            },
+            pattern(u64::MAX - 100, 10, 50, 5),
+            pattern(100, 10, -60, 5),
+            pattern(0, 10, 64, 0),
+            pattern(0, 0, 64, u32::MAX),
         ] {
             let mut blob = Vec::new();
-            blob.put_u8(2); // TAG_PATTERN
-            blob.put_u64_le(p.logical_start);
-            blob.put_u64_le(p.length);
-            blob.put_u64_le(p.logical_stride as u64);
-            blob.put_u32_le(p.count);
-            blob.put_u64_le(p.physical_start);
-            blob.put_u32_le(p.writer);
-            blob.put_u64_le(p.timestamp_start);
+            put_pattern(&mut blob, &p);
             let err = decode(&blob).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{p:?}");
+            assert!(err.to_string().starts_with("invalid index record: pattern"), "{p:?}: {err}");
             assert_eq!(decode_prefix(&blob).1, 0, "no bytes of a corrupt record consumed");
         }
+    }
+
+    #[test]
+    fn patterns_expand_only_as_far_as_their_data() {
+        // Two records: 3 entries at physical 0..48, then a descending
+        // run of u32::MAX entries from physical 48.
+        let mut blob =
+            encode_compressed(&[e(0, 16, 0, 1, 5), e(64, 16, 16, 1, 6), e(128, 16, 32, 1, 7)]);
+        let huge = PatternEntry { physical_start: 48, ..pattern(1 << 40, 16, -16, u32::MAX) };
+        put_pattern(&mut blob, &huge);
+        let d = decode_backed(&blob, Backing::Data(100));
+        assert!(d.torn.is_none());
+        assert_eq!(d.consumed, blob.len());
+        // 48 + 3·16 ≤ 100 < 48 + 4·16: three of the huge run are backed.
+        assert_eq!(d.entries.len(), 6);
+        assert_eq!(d.entries[3..], huge.expand().take(3).collect::<Vec<_>>()[..]);
+        let count = u64::from(u32::MAX);
+        assert_eq!(
+            d.dangling,
+            vec![Dangling {
+                entries: count - 3,
+                physical_end: 48 + 16 * count,
+                logical_end: (1 << 40) - 3 * 16 + 16,
+            }]
+        );
+        let err = d.whole().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Data that backs all of the first record and none of the second.
+        let d = decode_backed(&blob, Backing::Data(48));
+        assert_eq!((d.entries.len(), d.dangling[0].entries), (3, count));
+        // Raw-only streams take no pattern record at all.
+        let d = decode_backed(&blob, Backing::RawOnly);
+        assert_eq!((d.entries.len(), d.consumed), (0, 0));
+        assert_eq!(d.torn.unwrap().to_string(), "bad index record tag 4");
+        let raw = encode_raw(&[e(0, 16, 0, 1, 5)]);
+        assert_eq!(decode_backed(&raw, Backing::RawOnly).whole().unwrap(), vec![e(0, 16, 0, 1, 5)]);
+    }
+
+    /// The one on-disk index format, byte for byte: an index dropping
+    /// with one pattern and one raw record, a `canonical.index`, and a
+    /// checksum sidecar. The round-trip tests cannot see an encoder and
+    /// decoder that change together; this test can, so any change to
+    /// the format has to edit it on purpose.
+    #[test]
+    fn on_disk_format_is_pinned() {
+        use crate::canonical::CanonicalIndex;
+        use crate::checksum::{chk_header, crc32};
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let entries = [
+            e(0, 16, 0, 7, 100),
+            e(64, 16, 16, 7, 101),
+            e(128, 16, 32, 7, 102),
+            e(1000, 5, 48, 7, 103),
+        ];
+        let index = encode_compressed(&entries);
+        assert_eq!(
+            hex(&index),
+            concat!(
+                // tag 4: logical 0, length 16, stride 64, count 3,
+                // physical 0, writer 7, timestamp 100, CRC
+                "04",
+                "0000000000000000",
+                "1000000000000000",
+                "4000000000000000",
+                "03000000",
+                "0000000000000000",
+                "07000000",
+                "6400000000000000",
+                "c6e0c3fb",
+                // tag 3: logical 1000, length 5, physical 48, writer 7,
+                // timestamp 103, CRC
+                "03",
+                "e803000000000000",
+                "0500000000000000",
+                "3000000000000000",
+                "07000000",
+                "6700000000000000",
+                "b631f69b",
+            )
+        );
+        assert_eq!(decode(&index).unwrap(), entries);
+        let canon = CanonicalIndex {
+            watermark: 2,
+            covered: vec![(7, index.len() as u64)],
+            fragments: vec![entries[0], entries[3]],
+        };
+        assert_eq!(
+            hex(&canon.encode()),
+            concat!(
+                // magic "PLFSCAN2", CRC of the rest, watermark 2, one
+                // covered (rank 7, 94 B), payload of 82 B
+                "504c465343414e32",
+                "40bf3b8a",
+                "0200000000000000",
+                "01000000",
+                "07000000",
+                "5e00000000000000",
+                "5200000000000000",
+                // payload: two raw records
+                "03",
+                "0000000000000000",
+                "1000000000000000",
+                "0000000000000000",
+                "07000000",
+                "6400000000000000",
+                "1ad6d645",
+                "03",
+                "e803000000000000",
+                "0500000000000000",
+                "3000000000000000",
+                "07000000",
+                "6700000000000000",
+                "b631f69b",
+            )
+        );
+        assert_eq!(CanonicalIndex::decode(&canon.encode()).unwrap(), canon);
+        let mut sidecar = chk_header(4096);
+        for block in [&[0xAB; 4096][..], b"tail"] {
+            sidecar.extend_from_slice(&crc32(block).to_le_bytes());
+        }
+        // magic "PLFSCHK1", version 1, block 4096, two CRCs
+        assert_eq!(
+            hex(&sidecar),
+            concat!("504c465343484b31", "01", "00100000", "0b5c79a8", "5db4377c")
+        );
     }
 
     #[test]

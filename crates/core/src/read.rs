@@ -31,10 +31,10 @@ use crate::backend::Backend;
 use crate::canonical::{self, CanonicalIndex, Tail};
 use crate::checksum::{crc32, Coverage, Sidecar};
 use crate::container::{discover_droppings, epoch_watermark, ContainerPaths};
-use crate::index::{decode, IndexEntry, IndexMap};
+use crate::index::{decode_backed, Backing, IndexEntry, IndexMap};
 use crate::metrics::PlfsMetrics;
 use crate::pool;
-use crate::retry::{IntegrityError, RetriedBackend, RetryPolicy};
+use crate::retry::{len_or_zero_once, IntegrityError, RetriedBackend, RetryPolicy};
 use obs::trace::Phase;
 use std::collections::HashMap;
 use std::io;
@@ -90,8 +90,8 @@ pub enum QuarantinePolicy {
 
 /// Verification state of one writer's data dropping, loaded at open.
 enum ChkState {
-    /// No sidecar (legacy container, crash before the first sidecar
-    /// flush, or a sidecar `repair` removed).
+    /// No sidecar (a crash before the first sidecar flush, or a sidecar
+    /// `repair` removed).
     Uncovered,
     /// Sidecar loaded; per-block verification runs lazily on first
     /// touch, memoized in the bitmaps.
@@ -283,9 +283,8 @@ impl Reader {
 
         // Persist the flattened view for the next open (best-effort:
         // the cache is never load-bearing).
-        if let Some((session, covered)) = ingest.persist {
-            let canon =
-                CanonicalIndex { session_count: session, covered, fragments: map.fragments() };
+        if let Some((watermark, covered)) = ingest.persist {
+            let canon = CanonicalIndex { watermark, covered, fragments: map.fragments() };
             if write_canonical(&retried, &paths, &canon).is_ok() {
                 metrics.canonical_writes.inc();
             }
@@ -368,7 +367,7 @@ impl Reader {
 
     /// Enable/disable checksum verification on reads (default on).
     /// Disabling is for benchmarking the verification overhead; data
-    /// from unchecksummed (legacy) droppings is served either way.
+    /// from droppings no sidecar covers is served either way.
     pub fn set_verify(&mut self, on: bool) {
         self.verify = on;
     }
@@ -792,7 +791,7 @@ fn ingest(
                 persist: None, // exactly current already
             });
         }
-        if let Some(mut ingest) = ingest_tails(retried, &tails, metrics, root_id) {
+        if let Some(mut ingest) = ingest_tails(retried, paths, &tails, metrics, root_id) {
             // Stamp the refreshed cache with the grown lengths.
             let mut covered: std::collections::HashMap<u32, u64> =
                 canon.covered.iter().copied().collect();
@@ -801,7 +800,7 @@ fn ingest(
             }
             let mut covered: Vec<(u32, u64)> = covered.into_iter().collect();
             covered.sort_unstable();
-            ingest.persist = Some((canon.session_count, covered));
+            ingest.persist = Some((canon.watermark, covered));
             ingest.fragment_lists.push(canon.fragments);
             ingest.from_canonical = true;
             ingest.index_bytes += canon.covered.iter().map(|&(_, l)| l).sum::<u64>();
@@ -814,17 +813,20 @@ fn ingest(
     // Stamp with the epoch watermark *before* reading the droppings: a
     // writer session that lands mid-merge advances the watermark, so
     // the stale stamp invalidates whatever this merge saw.
-    let session = epoch_watermark(retried, paths);
+    let watermark = epoch_watermark(retried, paths);
     let cap = pool::available_parallelism();
     let results: Vec<io::Result<(Vec<IndexEntry>, usize, u64)>>;
     let peak;
     (results, peak) = pool::run_bounded(droppings.len(), cap, |i| {
-        let (_, idx_path, _) = &droppings[i];
+        let (_, idx_path, data_path) = &droppings[i];
         let fetch = metrics.trace.start("index.fetch", Phase::Transfer, "plfs.read", root_id);
         let blob = retried.read_all(idx_path)?;
+        // Measured after the index: data lands before the records that
+        // map it, so a record read here never outruns this length.
+        let data_len = len_or_zero_once(retried, data_path)?;
         fetch.end();
         let span = metrics.trace.start("index.decode", Phase::Compute, "plfs.read", root_id);
-        let entries = decode(&blob)?;
+        let entries = decode_backed(&blob, Backing::Data(data_len)).whole()?;
         span.end();
         let raw = entries.len();
         // Pre-merge this rank's entries so the global merge is a k-way
@@ -850,7 +852,7 @@ fn ingest(
         index_bytes,
         from_canonical: false,
         peak_workers: peak,
-        persist: Some((session, covered)),
+        persist: Some((watermark, covered)),
     })
 }
 
@@ -858,6 +860,7 @@ fn ingest(
 /// `None` means a tail was unreadable — caller rebuilds cold.
 fn ingest_tails(
     retried: &RetriedBackend<'_>,
+    paths: &ContainerPaths,
     tails: &[Tail],
     metrics: &Arc<PlfsMetrics>,
     root_id: u64,
@@ -869,11 +872,12 @@ fn ingest_tails(
         let mut buf = vec![0u8; (t.len - t.covered) as usize];
         let got = retried.read_at(&t.index_path, t.covered, &mut buf).ok()?;
         buf.truncate(got);
+        let data_len = len_or_zero_once(retried, &paths.data_dropping(t.rank)).ok()?;
         fetch.end();
         let span = metrics.trace.start("index.decode", Phase::Compute, "plfs.read", root_id);
         // The covered stamp always ends on a record boundary (it was a
         // whole dropping when stamped), so the tail decodes standalone.
-        let entries = decode(&buf).ok()?;
+        let entries = decode_backed(&buf, Backing::Data(data_len)).whole().ok()?;
         span.end();
         Some((entries, buf.len() as u64))
     });
@@ -1156,7 +1160,7 @@ mod tests {
         // length, session still open.
         let r1 = reader(&b, &p);
         assert_eq!(r1.size(), 100);
-        // The same session appends more (session count unchanged!).
+        // The same session appends more (watermark unchanged!).
         w.write_at(50, &[b'b'; 100]).unwrap();
         w.sync().unwrap();
         let rm = PlfsMetrics::detached();
@@ -1557,12 +1561,13 @@ mod tests {
     }
 
     #[test]
-    fn unchecksummed_legacy_container_reads_without_verification() {
+    fn sidecarless_dropping_reads_without_verification() {
         let (b, p, m) = setup(2);
         let mut w = mkwriter(&b, &p, &m, 0);
         w.write_at(0, &[4u8; 2000]).unwrap();
         w.close().unwrap();
-        // A container from before sidecars: same droppings, no `chk`.
+        // Droppings no sidecar covers, as a crash before the first
+        // sidecar flush or a sidecar `repair` removed leaves them.
         b.remove(&p.chk_dropping(0)).unwrap();
         b.remove(&p.index_chk_dropping(0)).unwrap();
         assert!(!b.exists(&p.chk_dropping(0)));

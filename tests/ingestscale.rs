@@ -36,7 +36,7 @@ fn small_swarm() -> SwarmPlan {
 /// The ISSUE's epoch-collision stress: 1000 seeded iterations of
 /// concurrent session reservation on one container must never hand two
 /// callers the same session. This is the CAS-loop fix for the
-/// read-then-compute `session_count` race — before it, two
+/// read-then-compute session-count race — before it, two
 /// simultaneous opens could mint overlapping stamp epochs and silently
 /// corrupt overwrite resolution.
 #[test]
