@@ -23,6 +23,7 @@
 //! `len`/`read_at`, so what a layer does to reads (bit flips, short-read
 //! caps, chunk manifests) applies to whole-file reads too.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -197,6 +198,19 @@ fn not_found(path: &str) -> io::Error {
 /// allocations than a plain `Vec`. Keys are `Box<str>` and the later
 /// segments hang off one boxed pointer, so a file's map entry is no
 /// larger than a `String` key plus a `Vec<u8>`.
+///
+/// Segments also outlive their files. `remove`, `remove_dir_all`, a
+/// truncating `create` and a `rename` over an existing file clear every
+/// `SEG`-capacity segment of the file they drop (its head too, once it
+/// has grown to `SEG`) and keep it on a free list; an append that needs
+/// a new segment, or a head about to grow to `SEG`, takes one from the
+/// list before it allocates. Fixed segments alone keep one file from
+/// re-faulting, but not the next one: a store that writes and unlinks a
+/// large file per round would hand its segments back to the OS and
+/// fault every page in again for the next file. The list needs no cap:
+/// it never holds more than the store's own high-water mark. A
+/// recycled segment is cleared, so `len`, `read_at` and `total_bytes`
+/// see only the live bytes of live files.
 #[derive(Default)]
 pub struct MemBackend {
     inner: Mutex<MemState>,
@@ -206,6 +220,8 @@ pub struct MemBackend {
 struct MemState {
     files: HashMap<Box<str>, MemFile>,
     dirs: HashMap<Box<str>, ()>,
+    /// Cleared segments of dropped files, each of capacity `SEG`.
+    free: Vec<Vec<u8>>,
 }
 
 /// Bytes per segment of a [`MemBackend`] file.
@@ -246,26 +262,46 @@ impl MemFile {
         }
     }
 
-    fn append(&mut self, mut data: &[u8]) {
+    /// Append `data`, taking any new segment from `free` before it
+    /// allocates one; returns the offset the data landed at.
+    fn append(&mut self, mut data: &[u8], free: &mut Vec<Vec<u8>>) -> u64 {
+        let off = self.len() as u64;
+        let mut fresh = || free.pop().unwrap_or_else(|| Vec::with_capacity(SEG));
         while !data.is_empty() {
             let seg = match &mut self.rest {
                 None if self.head.len() < SEG => &mut self.head,
                 rest => {
                     let rest = rest.get_or_insert_with(Box::default);
                     if rest.last().is_none_or(|s| s.len() == SEG) {
-                        rest.push(Vec::with_capacity(SEG));
+                        rest.push(fresh());
                     }
                     rest.last_mut().expect("a segment was just pushed")
                 }
             };
             let n = data.len().min(SEG - seg.len());
             // Past half a segment, a doubling `Vec` would overshoot `SEG`
-            // (47 008 B records double to 1 504 256 B): grow to `SEG` at once.
+            // (47 008 B records double to 1 504 256 B): move to a full
+            // segment at once.
             if seg.len() + n > seg.capacity().max(SEG / 2) {
-                seg.reserve_exact(SEG - seg.len());
+                let mut full = fresh();
+                full.extend_from_slice(seg);
+                *seg = full;
             }
             seg.extend_from_slice(&data[..n]);
             data = &data[n..];
+        }
+        off
+    }
+
+    /// Drop the file, keeping its `SEG`-capacity segments, cleared, on
+    /// `free`.
+    fn recycle(self, free: &mut Vec<Vec<u8>>) {
+        let rest = self.rest.map_or_else(Vec::new, |rest| *rest);
+        for mut seg in std::iter::once(self.head).chain(rest) {
+            if seg.capacity() == SEG {
+                seg.clear();
+                free.push(seg);
+            }
         }
     }
 
@@ -284,7 +320,16 @@ impl MemFile {
     }
 }
 
-fn norm(path: &str) -> String {
+/// `path` as a store key: a leading `/`, no empty or `.` components and
+/// no trailing `/`. Borrowed when `path` already has that form.
+fn norm(path: &str) -> Cow<'_, str> {
+    let normal = path == "/"
+        || path
+            .strip_prefix('/')
+            .is_some_and(|rest| rest.split('/').all(|c| !c.is_empty() && c != "."));
+    if normal {
+        return Cow::Borrowed(path);
+    }
     let mut out = String::with_capacity(path.len());
     for comp in path.split('/').filter(|c| !c.is_empty() && *c != ".") {
         out.push('/');
@@ -293,12 +338,12 @@ fn norm(path: &str) -> String {
     if out.is_empty() {
         out.push('/');
     }
-    out
+    Cow::Owned(out)
 }
 
 /// The key prefix every path under `dir` starts with (`"/"` for the root).
 fn dir_prefix(dir: &str) -> String {
-    let mut p = norm(dir);
+    let mut p = norm(dir).into_owned();
     if !p.ends_with('/') {
         p.push('/');
     }
@@ -335,7 +380,10 @@ impl Backend for MemBackend {
     }
 
     fn create(&self, path: &str) -> io::Result<()> {
-        self.inner.lock().unwrap().files.insert(norm(path).into(), MemFile::default());
+        let mut st = self.inner.lock().unwrap();
+        if let Some(old) = st.files.insert(norm(path).into(), MemFile::default()) {
+            old.recycle(&mut st.free);
+        }
         Ok(())
     }
 
@@ -343,7 +391,7 @@ impl Backend for MemBackend {
     fn create_new(&self, path: &str) -> io::Result<()> {
         let mut st = self.inner.lock().unwrap();
         let p = norm(path);
-        if st.files.contains_key(p.as_str()) {
+        if st.files.contains_key(&*p) {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
                 format!("path already exists: {path}"),
@@ -355,22 +403,25 @@ impl Backend for MemBackend {
 
     fn append(&self, path: &str, data: &[u8]) -> io::Result<u64> {
         let mut st = self.inner.lock().unwrap();
-        let f = st.files.entry(norm(path).into()).or_default();
-        let off = f.len() as u64;
-        f.append(data);
-        Ok(off)
+        let MemState { files, free, .. } = &mut *st;
+        let p = norm(path);
+        // Only a new file pays for its key.
+        if let Some(f) = files.get_mut(&*p) {
+            return Ok(f.append(data, free));
+        }
+        Ok(files.entry(p.into()).or_default().append(data, free))
     }
 
     fn read_at(&self, path: &str, off: u64, buf: &mut [u8]) -> io::Result<usize> {
         let st = self.inner.lock().unwrap();
-        let f = st.files.get(norm(path).as_str()).ok_or_else(|| not_found(path))?;
+        let f = st.files.get(&*norm(path)).ok_or_else(|| not_found(path))?;
         // An offset beyond `usize` is beyond EOF too.
         Ok(usize::try_from(off).map_or(0, |off| f.read_at(off, buf)))
     }
 
     fn len(&self, path: &str) -> io::Result<u64> {
         let st = self.inner.lock().unwrap();
-        st.files.get(norm(path).as_str()).map(|f| f.len() as u64).ok_or_else(|| not_found(path))
+        st.files.get(&*norm(path)).map(|f| f.len() as u64).ok_or_else(|| not_found(path))
     }
 
     fn list(&self, dir: &str) -> io::Result<Vec<String>> {
@@ -398,28 +449,36 @@ impl Backend for MemBackend {
     fn exists(&self, path: &str) -> bool {
         let st = self.inner.lock().unwrap();
         let p = norm(path);
-        st.files.contains_key(p.as_str()) || st.dirs.contains_key(p.as_str())
+        st.files.contains_key(&*p) || st.dirs.contains_key(&*p)
     }
 
     // Atomic: the single state mutex makes take-and-reinsert one step.
     fn rename(&self, from: &str, to: &str) -> io::Result<()> {
         let mut st = self.inner.lock().unwrap();
-        let data = st.files.remove(norm(from).as_str()).ok_or_else(|| not_found(from))?;
-        st.files.insert(norm(to).into(), data);
+        let data = st.files.remove(&*norm(from)).ok_or_else(|| not_found(from))?;
+        if let Some(old) = st.files.insert(norm(to).into(), data) {
+            old.recycle(&mut st.free);
+        }
         Ok(())
     }
 
     fn remove(&self, path: &str) -> io::Result<()> {
         let mut st = self.inner.lock().unwrap();
-        st.files.remove(norm(path).as_str()).map(|_| ()).ok_or_else(|| not_found(path))
+        let f = st.files.remove(&*norm(path)).ok_or_else(|| not_found(path))?;
+        f.recycle(&mut st.free);
+        Ok(())
     }
 
     fn remove_dir_all(&self, path: &str) -> io::Result<()> {
         let mut st = self.inner.lock().unwrap();
+        let MemState { files, dirs, free } = &mut *st;
         let p = norm(path);
         let prefix = dir_prefix(path);
-        st.files.retain(|k, _| **k != p && !k.starts_with(&prefix));
-        st.dirs.retain(|k, _| **k != p && !k.starts_with(&prefix));
+        let under = |k: &str| *k == *p || k.starts_with(&prefix);
+        for (_, f) in files.extract_if(|k, _| under(k)) {
+            f.recycle(free);
+        }
+        dirs.retain(|k, _| !under(k));
         Ok(())
     }
 }
@@ -814,26 +873,203 @@ mod tests {
         check(&model, &mut rng);
     }
 
+    /// Addresses of `path`'s `SEG`-capacity segments.
+    fn full_segments(b: &MemBackend, path: &str) -> Vec<usize> {
+        let st = b.inner.lock().unwrap();
+        let f = &st.files[path];
+        let segs = std::iter::once(&f.head).chain(f.rest());
+        segs.filter(|s| s.capacity() == SEG).map(|s| s.as_ptr() as usize).collect()
+    }
+
+    /// Addresses of the segments on the free list.
+    fn free_segments(b: &MemBackend) -> Vec<usize> {
+        b.inner.lock().unwrap().free.iter().map(|s| s.as_ptr() as usize).collect()
+    }
+
     /// No segment is ever allocated past `SEG`, however the appends fall,
-    /// and a file's map entry is no larger than a `Vec<u8>` one.
+    /// and a file's map entry is no larger than a `Vec<u8>` one. The
+    /// second pass builds the same files again from the first pass's
+    /// recycled segments, heads included.
     #[test]
     fn mem_segment_capacity_never_exceeds_seg() {
+        use std::collections::HashSet;
         use std::mem::size_of;
         assert!(size_of::<(Box<str>, MemFile)>() <= size_of::<(String, Vec<u8>)>());
         let b = MemBackend::new();
         let mut rng = simkit::rng::Rng::new(47_008);
-        for n in [47_008, 4_099, SEG / 2 + 1, 700_001] {
-            let path = format!("/cap/{n}");
-            let data = seeded_bytes(&mut rng, n);
-            while b.len(&path).unwrap_or(0) < 3 * SEG as u64 + 1 {
-                b.append(&path, &data).unwrap();
-                let st = b.inner.lock().unwrap();
-                let f = &st.files[path.as_str()];
-                assert!(f.head.capacity() <= SEG, "head capacity {}", f.head.capacity());
-                assert!(f.rest().iter().all(|s| s.capacity() == SEG));
+        for pass in 0..2 {
+            let recycled: HashSet<usize> = free_segments(&b).into_iter().collect();
+            assert_eq!(recycled.is_empty(), pass == 0);
+            for n in [47_008, 4_099, SEG / 2 + 1, 700_001] {
+                let path = format!("/cap/{n}");
+                let data = seeded_bytes(&mut rng, n);
+                while b.len(&path).unwrap_or(0) < 3 * SEG as u64 + 1 {
+                    b.append(&path, &data).unwrap();
+                    let st = b.inner.lock().unwrap();
+                    let f = &st.files[path.as_str()];
+                    assert!(f.head.capacity() <= SEG, "head capacity {}", f.head.capacity());
+                    assert!(f.rest().iter().all(|s| s.capacity() == SEG));
+                    drop(st);
+                    if pass == 1 {
+                        let segs = full_segments(&b, &path);
+                        assert!(segs.iter().all(|s| recycled.contains(s)), "{path}: fresh segment");
+                    }
+                }
+                assert_eq!(full_segments(&b, &path).len(), 4, "{path}: head is a full segment");
+                assert_eq!(&b.read_all(&path).unwrap()[..n], &data[..]);
             }
-            assert_eq!(&b.read_all(&path).unwrap()[..n], &data[..]);
+            b.remove_dir_all("/cap").unwrap();
+            assert_eq!(free_segments(&b).len(), 16);
         }
+    }
+
+    /// Appends interleaved with every call that drops a file (`remove`,
+    /// `remove_dir_all`, truncating `create`, `rename` over an existing
+    /// file), against a `Vec<u8>` per file: every `len`, `read_at` and
+    /// `total_bytes` matches, each dropped file's full segments go on the
+    /// free list, and an append takes its new segments from the list
+    /// before it allocates.
+    #[test]
+    fn mem_freed_segments_are_reused_and_match_a_vec_model() {
+        use std::collections::{BTreeMap, HashSet};
+        let mut rng = simkit::rng::Rng::new(0xF4EE);
+        let b = MemBackend::new();
+        let paths = ["/p/0/a", "/p/0/b", "/p/0/c", "/p/1/a", "/p/1/b", "/p/2/a"];
+        let mut model: BTreeMap<&str, Vec<u8>> = BTreeMap::new();
+        let check = |model: &BTreeMap<&str, Vec<u8>>, path: &str, rng: &mut simkit::rng::Rng| {
+            assert_eq!(b.total_bytes(), model.values().map(|v| v.len() as u64).sum::<u64>());
+            let Some(want) = model.get(path) else {
+                assert_eq!(b.len(path).unwrap_err().kind(), io::ErrorKind::NotFound);
+                return;
+            };
+            let len = want.len();
+            assert_eq!(b.len(path).unwrap(), len as u64);
+            let mut reads: Vec<(usize, usize)> = (0..8)
+                .map(|_| (rng.below(len as u64 + 10) as usize, rng.below(2 * SEG as u64) as usize))
+                .collect();
+            reads.extend([(len.saturating_sub(3), 8), (len, 4), (len + 1, 4), (0, len + 1)]);
+            for (off, n) in reads {
+                let mut buf = vec![0xAA; n];
+                let got = b.read_at(path, off as u64, &mut buf).unwrap();
+                let start = off.min(len);
+                let end = (off + n).min(len).max(start);
+                assert_eq!(got, end - start, "{path} read {n} at {off} of {len}");
+                assert_eq!(&buf[..got], &want[start..end], "{path} read {n} at {off}");
+                assert!(buf[got..].iter().all(|&x| x == 0xAA), "{path} read past EOF");
+            }
+        };
+        let (mut reused, mut freed) = (0, 0);
+        for step in 0..300 {
+            let path = *rng.pick(&paths);
+            let free_before = free_segments(&b);
+            let mut dropped: Vec<usize> = Vec::new();
+            let mut drop_file = |p: &str| {
+                if model.contains_key(p) {
+                    dropped.extend(full_segments(&b, p));
+                }
+            };
+            match rng.below(10) {
+                0 => {
+                    drop_file(path);
+                    assert_eq!(b.remove(path).is_ok(), model.remove(path).is_some());
+                }
+                1 => {
+                    let dir = &path[..4];
+                    for p in paths.iter().filter(|p| p.starts_with(dir)) {
+                        drop_file(p);
+                    }
+                    b.remove_dir_all(dir).unwrap();
+                    model.retain(|p, _| !p.starts_with(dir));
+                }
+                2 => {
+                    drop_file(path);
+                    b.create(path).unwrap();
+                    model.insert(path, Vec::new());
+                }
+                3 => {
+                    let to = *rng.pick(&paths);
+                    if to != path && model.contains_key(path) {
+                        drop_file(to);
+                        b.rename(path, to).unwrap();
+                        let data = model.remove(path).unwrap();
+                        model.insert(to, data);
+                        check(&model, to, &mut rng);
+                    }
+                }
+                _ => {
+                    if model.get(path).is_some_and(|v| v.len() > 3 * SEG) {
+                        continue;
+                    }
+                    let n = match rng.below(3) {
+                        0 => rng.below(5_000),
+                        1 => SEG as u64 / 2 + rng.below(SEG as u64 / 2),
+                        _ => rng.below(2 * SEG as u64 + 100),
+                    } as usize;
+                    let data = seeded_bytes(&mut rng, n);
+                    let old: HashSet<usize> = b.len(path).map_or_else(
+                        |_| HashSet::new(),
+                        |_| full_segments(&b, path).into_iter().collect(),
+                    );
+                    let f = model.entry(path).or_default();
+                    assert_eq!(b.append(path, &data).unwrap(), f.len() as u64);
+                    f.extend_from_slice(&data);
+                    // New full segments come off the top of the free list
+                    // first; only what it cannot cover is allocated.
+                    let new: Vec<usize> =
+                        full_segments(&b, path).into_iter().filter(|s| !old.contains(s)).collect();
+                    let took = new.len().min(free_before.len());
+                    let top = &free_before[free_before.len() - took..];
+                    assert!(new.iter().take(took).all(|s| top.contains(s)), "step {step}");
+                    assert_eq!(free_segments(&b), &free_before[..free_before.len() - took]);
+                    reused += took;
+                }
+            }
+            if !dropped.is_empty() {
+                // Every full segment of a dropped file is on the list.
+                let free: HashSet<usize> = free_segments(&b).into_iter().collect();
+                assert!(dropped.iter().all(|s| free.contains(s)), "step {step}");
+                assert_eq!(free.len(), free_before.len() + dropped.len(), "step {step}");
+                freed += dropped.len();
+            }
+            check(&model, path, &mut rng);
+        }
+        for path in paths {
+            check(&model, path, &mut rng);
+        }
+        assert!(reused >= 20 && freed >= 20, "reused {reused}, freed {freed}");
+    }
+
+    /// A short file built from recycled segments holds only its own
+    /// bytes: nothing of the file that owned them before is readable.
+    #[test]
+    fn mem_recycled_segments_read_nothing_past_eof() {
+        let b = MemBackend::new();
+        b.append("/old", &vec![0xEE; 3 * SEG]).unwrap();
+        b.remove("/old").unwrap();
+        assert_eq!(free_segments(&b).len(), 3);
+        let mut rng = simkit::rng::Rng::new(0xE0F);
+        // A head that jumped to a recycled segment, and a recycled
+        // second segment, each holding a few bytes.
+        for (path, n) in [("/short/head", SEG / 2 + 1), ("/short/rest", SEG + 7)] {
+            let data: Vec<u8> = seeded_bytes(&mut rng, n).iter().map(|x| x & 0x7F).collect();
+            b.append(path, &data[..SEG / 4]).unwrap();
+            b.append(path, &data[SEG / 4..]).unwrap();
+            assert_eq!(b.len(path).unwrap(), n as u64);
+            assert_eq!(b.read_all(path).unwrap(), data);
+            let mut buf = vec![0xAA; 64];
+            assert_eq!(b.read_at(path, n as u64, &mut buf).unwrap(), 0);
+            assert_eq!(b.read_at(path, n as u64 + 1, &mut buf).unwrap(), 0);
+            assert_eq!(b.read_at(path, n as u64 - 3, &mut buf).unwrap(), 3);
+            assert_eq!(&buf[..3], &data[n - 3..]);
+            assert!(buf[3..].iter().all(|&x| x == 0xAA));
+        }
+        assert!(free_segments(&b).is_empty(), "both files took recycled segments");
+        b.create("/short/rest").unwrap();
+        let mut buf = vec![0xAA; 64];
+        assert_eq!(b.read_at("/short/rest", 0, &mut buf).unwrap(), 0);
+        b.append("/short/rest", b"x").unwrap();
+        assert_eq!(b.read_at("/short/rest", 0, &mut buf).unwrap(), 1);
+        assert_eq!(b.total_bytes(), SEG as u64 / 2 + 2);
     }
 
     #[test]
@@ -855,6 +1091,12 @@ mod tests {
         b.append("a//b/./c", b"x").unwrap();
         assert_eq!(b.len("/a/b/c").unwrap(), 1);
         assert!(b.exists("a/b/c"));
+        for path in ["/", "/a", "/a/b.c", "/a/.b/c"] {
+            assert!(matches!(norm(path), Cow::Borrowed(p) if p == path), "{path}");
+        }
+        for (path, key) in [("", "/"), ("/.", "/"), ("a", "/a"), ("/a/", "/a"), ("//a", "/a")] {
+            assert!(matches!(norm(path), Cow::Owned(p) if p == key), "{path}");
+        }
     }
 
     #[test]

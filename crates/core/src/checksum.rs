@@ -330,6 +330,13 @@ impl ChkBuilder {
         std::mem::take(&mut self.pending)
     }
 
+    /// [`ChkBuilder::take_pending`], appended to `out`; both buffers
+    /// keep their allocations.
+    pub(crate) fn take_pending_into(&mut self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.pending);
+        self.pending.clear();
+    }
+
     /// CRC of the current partial block (`None` on a block boundary).
     pub fn tail_crc(&self) -> Option<u32> {
         (self.partial_len > 0).then(|| self.partial.finish())

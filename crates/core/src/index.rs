@@ -231,6 +231,12 @@ pub fn encode_raw(entries: &[IndexEntry]) -> Vec<u8> {
 /// arithmetic-progression runs become [`PatternEntry`] records.
 pub fn encode_compressed(entries: &[IndexEntry]) -> Vec<u8> {
     let mut buf = Vec::new();
+    encode_compressed_into(entries, &mut buf);
+    buf
+}
+
+/// [`encode_compressed`], appended to `buf`.
+pub(crate) fn encode_compressed_into(entries: &[IndexEntry], buf: &mut Vec<u8>) {
     let mut i = 0;
     while i < entries.len() {
         // Try to grow a run starting at i.
@@ -247,14 +253,13 @@ pub fn encode_compressed(entries: &[IndexEntry]) -> Vec<u8> {
                 writer: e0.writer,
                 timestamp_start: e0.timestamp,
             };
-            put_pattern(&mut buf, &p);
+            put_pattern(buf, &p);
             i += run;
         } else {
-            put_raw(&mut buf, &entries[i]);
+            put_raw(buf, &entries[i]);
             i += 1;
         }
     }
-    buf
 }
 
 /// Longest prefix of `entries` forming a compressible run. The logical
