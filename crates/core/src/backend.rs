@@ -188,10 +188,11 @@ fn not_found(path: &str) -> io::Error {
 ///
 /// Each file is stored as fixed-size segments of `SEG` (1 MiB) bytes:
 /// the first segment lives inline in the file record and grows like a
-/// `Vec` up to `SEG`; every later one is allocated once with capacity
-/// exactly `SEG` and never moves. An append therefore copies only the
-/// bytes it adds. One `Vec<u8>` per file would instead realloc-copy the
-/// whole file at every doubling and fault in fresh pages each time, so
+/// `Vec` up to half a segment, then moves to a full one; every later
+/// one is allocated once with capacity exactly `SEG` and never moves.
+/// An append therefore copies only the bytes it adds. One `Vec<u8>` per
+/// file would instead realloc-copy the whole file at every doubling and
+/// fault in fresh pages each time, so
 /// the cost of an append into a large dropping would measure the heap
 /// rather than the caller. Small files (blobs, manifests, index
 /// droppings) stay in their one inline segment and cost no more
@@ -202,9 +203,9 @@ fn not_found(path: &str) -> io::Error {
 /// Segments also outlive their files. `remove`, `remove_dir_all`, a
 /// truncating `create` and a `rename` over an existing file clear every
 /// `SEG`-capacity segment of the file they drop (its head too, once it
-/// has grown to `SEG`) and keep it on a free list; an append that needs
-/// a new segment, or a head about to grow to `SEG`, takes one from the
-/// list before it allocates. Fixed segments alone keep one file from
+/// moved to a full one) and keep it on a free list; an append that
+/// needs a new segment, or a head about to grow past `SEG / 2`, takes
+/// one from the list before it allocates. Fixed segments alone keep one file from
 /// re-faulting, but not the next one: a store that writes and unlinks a
 /// large file per round would hand its segments back to the OS and
 /// fault every page in again for the next file. The list needs no cap:
@@ -231,7 +232,8 @@ const SEG: usize = 1 << 20;
 /// `SEG` bytes long, so a byte offset maps to its segment by division.
 #[derive(Default)]
 struct MemFile {
-    /// Segment 0, grown in place; never past capacity `SEG`.
+    /// Segment 0, grown in place up to capacity `SEG / 2`, then moved
+    /// to a full `SEG` one.
     head: Vec<u8>,
     /// Segments 1.., each allocated with capacity `SEG`; boxed, so a
     /// file that never passes `SEG` pays one null pointer for them.
@@ -279,10 +281,12 @@ impl MemFile {
                 }
             };
             let n = data.len().min(SEG - seg.len());
-            // Past half a segment, a doubling `Vec` would overshoot `SEG`
-            // (47 008 B records double to 1 504 256 B): move to a full
-            // segment at once.
-            if seg.len() + n > seg.capacity().max(SEG / 2) {
+            // A head that would grow past half a segment moves to a full
+            // one at once: doubling on would overshoot `SEG` (47 008 B
+            // records double to 1 504 256 B), and a head of any other
+            // capacity between `SEG / 2` and `SEG` could not be recycled.
+            let need = seg.len() + n;
+            if need > seg.capacity() && need.max(2 * seg.capacity()) > SEG / 2 {
                 let mut full = fresh();
                 full.extend_from_slice(seg);
                 *seg = full;
@@ -887,6 +891,7 @@ mod tests {
     }
 
     /// No segment is ever allocated past `SEG`, however the appends fall,
+    /// a head is either at most half a segment or a full, recyclable one,
     /// and a file's map entry is no larger than a `Vec<u8>` one. The
     /// second pass builds the same files again from the first pass's
     /// recycled segments, heads included.
@@ -907,7 +912,8 @@ mod tests {
                     b.append(&path, &data).unwrap();
                     let st = b.inner.lock().unwrap();
                     let f = &st.files[path.as_str()];
-                    assert!(f.head.capacity() <= SEG, "head capacity {}", f.head.capacity());
+                    let cap = f.head.capacity();
+                    assert!(cap <= SEG / 2 || cap == SEG, "{path}: head capacity {cap}");
                     assert!(f.rest().iter().all(|s| s.capacity() == SEG));
                     drop(st);
                     if pass == 1 {

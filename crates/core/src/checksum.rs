@@ -325,14 +325,9 @@ impl ChkBuilder {
         }
     }
 
-    /// Encoded completed-block entries accumulated since the last take.
-    pub fn take_pending(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.pending)
-    }
-
-    /// [`ChkBuilder::take_pending`], appended to `out`; both buffers
-    /// keep their allocations.
-    pub(crate) fn take_pending_into(&mut self, out: &mut Vec<u8>) {
+    /// Append the encoded completed-block entries accumulated since the
+    /// last take to `out`; both buffers keep their allocations.
+    pub fn take_pending_into(&mut self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.pending);
         self.pending.clear();
     }
@@ -531,7 +526,10 @@ mod tests {
         for chunk in data.chunks(37) {
             b.absorb(chunk);
         }
-        let pending = b.take_pending();
+        let mut pending = Vec::new();
+        b.take_pending_into(&mut pending);
+        b.take_pending_into(&mut pending);
+        assert_eq!(pending.len(), 12, "a take leaves nothing for the next one");
         let crcs: Vec<u32> =
             pending.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
         assert_eq!(crcs.len(), 3, "three completed 256-byte blocks");

@@ -17,6 +17,9 @@
 //! Each log's queue is allocated once per writer: a flush clears it and
 //! keeps its capacity, so the data queue is a staging buffer the writer
 //! keeps for its lifetime rather than one it regrows after every flush.
+//! The data queue keeps at most twice `data_buffer`: a single write
+//! larger than that grows it for one flush, and the flush gives the
+//! excess back.
 
 use crate::backend::Backend;
 use crate::checksum::{chk_header, ChkBuilder, VERIFY_BLOCK};
@@ -54,7 +57,8 @@ impl Default for WriterConfig {
 /// Its queue is allocated once: a flush hands the bytes that landed to
 /// the caller and then clears the queue, keeping its capacity, so a
 /// steady stream of flushes neither regrows it by doubling nor faults
-/// in fresh pages for it.
+/// in fresh pages for it. The capacity kept is the largest the queue
+/// reached; the writer bounds the data queue's (see `flush_data`).
 struct Log {
     path: String,
     /// Byte length of the file on the store.
@@ -358,6 +362,12 @@ impl Writer {
         );
         span.end();
         res?;
+        // Queuing up to `data_buffer` and then one more write doubles the
+        // queue at most once. A larger write grew it further: give that
+        // back rather than hold it until `close`.
+        if self.data.pending.capacity() > 2 * self.cfg.data_buffer {
+            self.data.pending.shrink_to(self.cfg.data_buffer);
+        }
         self.stats.data_appends += 1;
         self.metrics.data_appends.inc();
         Ok(())
@@ -674,6 +684,25 @@ mod tests {
         assert_eq!(b.len(&p.data_dropping(0)).unwrap(), off);
         assert_sidecar_covers(&b, &p.chk_dropping(0), &p.data_dropping(0));
         assert_sidecar_covers(&b, &p.index_chk_dropping(0), &p.index_dropping(0));
+    }
+
+    /// A write far larger than `data_buffer` is not kept resident until
+    /// `close`: the flush that lands it shrinks the data queue back,
+    /// write-through (threshold 0) included.
+    #[test]
+    fn data_queue_gives_back_an_oversized_write() {
+        for data_buffer in [0, 4096] {
+            let (b, p, m) = setup();
+            let cfg = WriterConfig { data_buffer, index_flush_every: 1 << 30 };
+            let mut w = writer(&b, &p, &m, 0, cfg);
+            w.write_at(0, &vec![7u8; 1 << 20]).unwrap();
+            let cap = w.data.pending.capacity();
+            assert!(cap <= 2 * data_buffer, "data_buffer {data_buffer}: kept {cap} B");
+            w.write_at(1 << 20, &[8u8; 100]).unwrap();
+            w.close().unwrap();
+            assert_eq!(b.len(&p.data_dropping(0)).unwrap(), (1 << 20) + 100);
+            assert_sidecar_covers(&b, &p.chk_dropping(0), &p.data_dropping(0));
+        }
     }
 
     #[test]
