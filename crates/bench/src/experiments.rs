@@ -877,6 +877,28 @@ pub fn speedup_table_report(reg: &Registry) -> String {
 
 // -------------------------------------------------------------- faults
 
+/// Clients and 1 MiB records per client of [`aligned_n1_nn`].
+const ALIGNED_CLIENTS: u64 = 16;
+const ALIGNED_RECORDS: u64 = 48;
+
+/// The faults workload's op streams: every client writes its
+/// stripe-aligned 1 MiB records, strided into one shared file (N-1) and
+/// sequentially into a file of its own (N-N).
+pub(crate) fn aligned_n1_nn() -> [Vec<Vec<pfs::Op>>; 2] {
+    use pfs::Op;
+    let (clients, records) = (ALIGNED_CLIENTS, ALIGNED_RECORDS);
+    let n1 = (0..clients).map(|r| {
+        let writes =
+            (0..records).map(|i| Op::Write { file: 0, offset: (i * clients + r) * MIB, len: MIB });
+        std::iter::once(Op::Open(0)).chain(writes).collect()
+    });
+    let nn = (0..clients).map(|r| {
+        let writes = (0..records).map(|i| Op::Write { file: 1 + r, offset: i * MIB, len: MIB });
+        std::iter::once(Op::Create(1 + r)).chain(writes).collect()
+    });
+    [n1.collect(), nn.collect()]
+}
+
 /// One row of the `faults` masking experiment: 64 ranks checkpoint
 /// through PLFS over a store that errors transiently with probability
 /// `transient` and tears appends with probability `torn`.
@@ -934,36 +956,14 @@ pub fn faults_masking_run(transient: f64, torn: f64) -> (plfs::FaultStats, u64, 
 /// mid-phase, for both N-1 strided and N-N patterns, plus the PLFS
 /// retry layer masking a lossy backing store.
 pub fn faults_report(reg: &Registry) -> String {
-    use pfs::sim::{Cluster, Op};
+    use pfs::sim::Cluster;
     use simkit::SimTime;
 
     let mut out = String::new();
     header(&mut out, "Degraded-mode checkpointing: one OSD crash/restart mid-phase");
 
-    let servers = 8;
-    let clients = 16usize;
-    let per_client = 48usize;
-    let rec = MIB;
-    let n1: Vec<Vec<Op>> = (0..clients)
-        .map(|r| {
-            let mut ops = vec![Op::Open(0)];
-            for i in 0..per_client {
-                let record = (i * clients + r) as u64;
-                ops.push(Op::Write { file: 0, offset: record * rec, len: rec });
-            }
-            ops
-        })
-        .collect();
-    let nn: Vec<Vec<Op>> = (0..clients)
-        .map(|r| {
-            let file = 1 + r as u64;
-            let mut ops = vec![Op::Create(file)];
-            for i in 0..per_client {
-                ops.push(Op::Write { file, offset: i as u64 * rec, len: rec });
-            }
-            ops
-        })
-        .collect();
+    let (servers, clients, per_client, rec) = (8, ALIGNED_CLIENTS, ALIGNED_RECORDS, MIB);
+    let [n1, nn] = aligned_n1_nn();
 
     let down = SimDuration::from_secs(5);
     let _ = writeln!(

@@ -191,7 +191,7 @@ pub fn experiment(id: &str) -> Option<&'static Experiment> {
 pub fn headline_numbers() -> obs::json::Value {
     use giga::{run_metarates, MetaratesConfig, Scheme};
     use netsim::{run_incast, IncastConfig, RtoPolicy};
-    use pfs::sim::{Cluster, Op};
+    use pfs::sim::Cluster;
     use pfs::ClusterConfig;
     use plfs::simadapter::compare;
     use simkit::units::MIB;
@@ -206,31 +206,8 @@ pub fn headline_numbers() -> obs::json::Value {
     // workload, healthy cluster). Alignment rescues direct N-1 (~1.0x),
     // which is itself a paper point: the collapse — and PLFS's win
     // above — comes from small unaligned strided records.
-    let clients = 16usize;
-    let per_client = 48usize;
-    let rec = MIB;
-    let n1: Vec<Vec<Op>> = (0..clients)
-        .map(|r| {
-            let mut ops = vec![Op::Open(0)];
-            for i in 0..per_client {
-                let record = (i * clients + r) as u64;
-                ops.push(Op::Write { file: 0, offset: record * rec, len: rec });
-            }
-            ops
-        })
-        .collect();
-    let nn: Vec<Vec<Op>> = (0..clients)
-        .map(|r| {
-            let file = 1 + r as u64;
-            let mut ops = vec![Op::Create(file)];
-            for i in 0..per_client {
-                ops.push(Op::Write { file, offset: i as u64 * rec, len: rec });
-            }
-            ops
-        })
-        .collect();
-    let n1_bw = Cluster::new(ClusterConfig::lustre_like(8, MIB)).run_phase(&n1).write_bandwidth();
-    let nn_bw = Cluster::new(ClusterConfig::lustre_like(8, MIB)).run_phase(&nn).write_bandwidth();
+    let [n1_bw, nn_bw] = experiments::aligned_n1_nn()
+        .map(|s| Cluster::new(ClusterConfig::lustre_like(8, MIB)).run_phase(&s).write_bandwidth());
 
     // Incast collapse point: smallest 1 GbE fan-in where legacy-RTO
     // goodput drops below half of the single-sender goodput (fig9).

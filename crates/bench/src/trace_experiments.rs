@@ -10,7 +10,7 @@
 //! stalls. The spans export to Chrome trace-event JSON for Perfetto.
 
 use obs::trace::{self, Attribution, SpanRecord, TraceSink};
-use pfs::{Cluster, ClusterConfig, Op};
+use pfs::{Cluster, ClusterConfig};
 use simkit::units::{fmt_bytes, KIB, MIB};
 
 /// All trace experiment ids, with a one-line description.
@@ -102,19 +102,7 @@ fn trace_plfs_n1() -> TraceRun {
 /// The contrast case: per-rank files with stripe-aligned records.
 /// No sharing, no revocations — the critical path is media transfer.
 fn trace_plfs_nn() -> TraceRun {
-    let clients = 16usize;
-    let per_client = 48usize;
-    let rec = MIB;
-    let streams: Vec<Vec<Op>> = (0..clients)
-        .map(|r| {
-            let file = 1 + r as u64;
-            let mut ops = vec![Op::Create(file)];
-            for i in 0..per_client {
-                ops.push(Op::Write { file, offset: i as u64 * rec, len: rec });
-            }
-            ops
-        })
-        .collect();
+    let [_, streams] = crate::experiments::aligned_n1_nn();
 
     let sink = TraceSink::bounded(1 << 18);
     let mut cfg = ClusterConfig::lustre_like(8, MIB);

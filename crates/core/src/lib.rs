@@ -29,7 +29,8 @@
 //! - [`mpiio`]: collective (MPI-IO-like) adapter and the canonical
 //!   checkpoint patterns;
 //! - [`simadapter`]: replay patterns through the `pfs` cluster
-//!   simulator, directly vs through PLFS (the Fig. 8 experiment).
+//!   simulator, directly vs as a capture of the real PLFS writer's
+//!   backend calls (the Fig. 8 experiment).
 //!
 //! ## Quick start
 //!
