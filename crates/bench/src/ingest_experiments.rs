@@ -3,9 +3,10 @@
 //!
 //! The question this answers is the service-layer version of the
 //! paper's headline: once PLFS has turned N-1 into per-writer logs,
-//! does a *service* front-end — sharded writers, queued appends, group
-//! commit — actually scale aggregate ingest bandwidth with shard
-//! count, and does group commit actually amortize index fsyncs?
+//! does a *service* front-end — sharded writers whose data logs absorb
+//! the clients' writes directly, group commit — actually scale
+//! aggregate ingest bandwidth with shard count, and does group commit
+//! actually amortize index fsyncs?
 //!
 //! The store is a [`PacedBackend`]: an in-memory backend whose
 //! `append` sleeps per byte (plus a fixed per-append floor), modeling

@@ -203,6 +203,21 @@ struct Batch<'a> {
     segs: Vec<(u64, &'a mut [u8])>,
 }
 
+impl Batch<'_> {
+    /// Copy `src`, the run's bytes from offset `at` on, into the parts
+    /// of the segments it covers.
+    fn scatter(&mut self, at: usize, src: &[u8]) {
+        let end = at + src.len();
+        for (run_off, seg) in self.segs.iter_mut() {
+            let s = *run_off as usize;
+            let (lo, hi) = (s.max(at), (s + seg.len()).min(end));
+            if lo < hi {
+                seg[lo - s..hi - s].copy_from_slice(&src[lo - at..hi - at]);
+            }
+        }
+    }
+}
+
 /// Read at least `need` bytes of `buf` starting at `off`, looping at
 /// the advanced offset on short-but-nonzero reads (POSIX `pread` may
 /// deliver fewer bytes than asked anywhere in the file; only `Ok(0)`
@@ -595,8 +610,10 @@ impl Reader {
     }
 
     /// Serve one coalesced batch: one contiguous physical run of one
-    /// dropping, scattered into its routed buffer segments. Returns the
-    /// number of backend reads issued (0 on a readahead-cache hit).
+    /// dropping, scattered into its routed buffer segments. A head the
+    /// readahead cache holds is copied from it, and only the rest is
+    /// read. Returns the number of backend reads issued (0 on a
+    /// readahead-cache hit).
     fn serve_batch(&self, b: &mut Batch<'_>, root_id: u64) -> io::Result<u64> {
         let span = self.metrics.trace.start("read.batch", Phase::Transfer, "plfs.read", root_id);
         let blen = b.len as usize;
@@ -609,15 +626,17 @@ impl Reader {
             cache: Vec::new(),
             next_phys: 0,
         });
-        // Served entirely from the readahead block?
-        if b.physical >= st.cache_phys
-            && b.physical + b.len <= st.cache_phys + st.cache.len() as u64
-        {
+        // Serve what the readahead block holds of the batch's head.
+        let cache_end = st.cache_phys + st.cache.len() as u64;
+        let cached = if (st.cache_phys..cache_end).contains(&b.physical) {
             let base = (b.physical - st.cache_phys) as usize;
-            for (run_off, seg) in b.segs.iter_mut() {
-                let s = base + *run_off as usize;
-                seg.copy_from_slice(&st.cache[s..s + seg.len()]);
-            }
+            let cached = blen.min(st.cache.len() - base);
+            b.scatter(0, &st.cache[base..base + cached]);
+            cached
+        } else {
+            0
+        };
+        if cached == blen {
             st.next_phys = b.physical + b.len;
             self.metrics.read_readahead_hits.inc();
             span.end();
@@ -632,47 +651,38 @@ impl Reader {
         // batches of this read would serialize behind it.
         drop(drops);
 
+        // Fetch only what the cache did not hold, plus any readahead.
+        let (phys, missing) = (b.physical + cached as u64, blen - cached);
         let ext = if sequential { self.readahead as usize } else { 0 };
         if ext == 0 && b.segs.len() == 1 && b.segs[0].1.len() == blen {
             // Single-segment batch, no over-read: straight into `buf`.
-            let (_, seg) = &mut b.segs[0];
-            read_at_least(
-                self.backend.as_ref(),
-                &self.retry,
-                &path,
-                b.physical,
-                seg,
-                blen,
-                &mut ops,
-            )?;
-            self.verify_traced(b.writer, b.physical, seg, &mut ops, span.id())?;
+            let seg = &mut b.segs[0].1[cached..];
+            read_at_least(self.backend.as_ref(), &self.retry, &path, phys, seg, missing, &mut ops)?;
+            self.verify_traced(b.writer, phys, seg, &mut ops, span.id())?;
             span.end();
             return Ok(ops);
         }
-        let mut scratch = vec![0u8; blen + ext];
+        let mut scratch = vec![0u8; missing + ext];
         let got = read_at_least(
             self.backend.as_ref(),
             &self.retry,
             &path,
-            b.physical,
+            phys,
             &mut scratch,
-            blen,
+            missing,
             &mut ops,
         )?;
         // Verify everything fetched — including readahead surplus — so
         // the cache only ever holds verified (or quarantine-zeroed)
         // bytes; the cache-hit path above serves without re-checking.
-        self.verify_traced(b.writer, b.physical, &mut scratch[..got], &mut ops, span.id())?;
-        for (run_off, seg) in b.segs.iter_mut() {
-            let s = *run_off as usize;
-            seg.copy_from_slice(&scratch[s..s + seg.len()]);
-        }
-        if got > blen {
+        self.verify_traced(b.writer, phys, &mut scratch[..got], &mut ops, span.id())?;
+        b.scatter(cached, &scratch[..missing]);
+        if got > missing {
             // Stash the over-read surplus for the follow-on batch.
             let mut drops = self.drops.lock().unwrap();
             if let Some(st) = drops.get_mut(&b.writer) {
-                scratch.copy_within(blen..got, 0);
-                scratch.truncate(got - blen);
+                scratch.copy_within(missing..got, 0);
+                scratch.truncate(got - missing);
                 st.cache = scratch;
                 st.cache_phys = b.physical + b.len;
             }
@@ -1369,6 +1379,52 @@ mod tests {
         let ops = rm.registry.value("plfs.read.backend_ops").unwrap();
         assert!(hits >= 12, "most sequential reads served from readahead, got {hits}");
         assert!(ops <= 2, "sequential scan needs almost no backend reads, got {ops}");
+
+        // Records that do not divide DEFAULT_READAHEAD: most reads
+        // straddle the cache's end, and only their uncached tail may be
+        // read again, so the store serves each byte about once.
+        const REC: usize = 47_008;
+        let (b, p, m) = setup(1);
+        let mut w = mkwriter(&b, &p, &m, 0);
+        let records = 40u64;
+        for i in 0..records {
+            w.write_at(i * REC as u64, &vec![(i % 251) as u8 + 1; REC]).unwrap();
+        }
+        w.close().unwrap();
+        let data = p.data_dropping(0);
+        let store = Arc::new(CountReads { below: b.clone(), path: data, served: 0.into() });
+        let r =
+            Reader::open(store.clone(), p, RetryPolicy::none(), PlfsMetrics::detached()).unwrap();
+        let mut buf = vec![0u8; REC];
+        for i in 0..records {
+            assert_eq!(r.read_at(i * REC as u64, &mut buf).unwrap(), REC);
+            assert!(buf.iter().all(|&x| x == (i % 251) as u8 + 1), "record {i} corrupt");
+        }
+        let (served, len) = (store.served.load(Ordering::Relaxed), records * REC as u64);
+        assert!(
+            served <= len + DEFAULT_READAHEAD,
+            "the store served {served} B for a {len} B scan (window {DEFAULT_READAHEAD} B)"
+        );
+    }
+
+    /// Counts the bytes `read_at` serves from one path.
+    struct CountReads {
+        below: Arc<MemBackend>,
+        path: String,
+        served: AtomicU64,
+    }
+
+    impl crate::backend::Layer for CountReads {
+        fn below(&self) -> &dyn Backend {
+            self.below.as_ref()
+        }
+        fn read_at(&self, path: &str, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.below.read_at(path, offset, buf)?;
+            if path == self.path {
+                self.served.fetch_add(n as u64, Ordering::Relaxed);
+            }
+            Ok(n)
+        }
     }
 
     #[test]

@@ -5,45 +5,51 @@
 //! The paper's workload is the opposite shape — thousands of clients
 //! checkpointing into one shared file at once — and the production
 //! answer (ParaLog/iFast-style host-side logging) is a service that
-//! absorbs parallel traffic into queues and drains them asynchronously.
+//! absorbs parallel traffic into per-writer logs and commits them in
+//! groups.
 //!
 //! [`IngestService`] is that layer:
 //!
 //! - **Sharding.** Clients hash onto `shards` independent shards. Each
-//!   owns its queue, its [`Writer`] (rank = shard id, its own
-//!   atomically reserved session), its lock and its one drain thread —
-//!   no global lock and no shared scheduler on the ingest path.
-//! - **Group commit.** A shard's drain thread takes the whole queue,
-//!   applies one `write_at_stamped` per logical write, then issues
-//!   **one** `sync()` (the index append + flush) amortized across the
-//!   batch. The fan-in — logical writes per index fsync — is the
-//!   service's whole economic argument, exported as `svc.commit.fanin`.
-//! - **State-driven wake-ups.** The drain thread commits when its
-//!   queue holds a full batch (`batch_ops`), a [`sync`] waits on it, a
-//!   producer is blocked, the service shuts down, or the oldest queued
-//!   write has waited `flush_interval`. Each condition is state under
-//!   the shard's lock that the thread re-checks before it sleeps, so no
-//!   wake-up can be lost. The straggler deadline is the only timed
-//!   wait; a shard with an empty queue sleeps until a write arrives.
+//!   owns its [`Writer`] (rank = shard id, its own atomically reserved
+//!   session), its lock and its one drain thread — no global lock and
+//!   no shared scheduler on the ingest path.
+//! - **The writer is the queue.** A write takes its shard's lock and
+//!   goes straight into the shard's writer, whose data log stages it
+//!   (see [`crate::write`]): no second copy, no second queue. The
+//!   writer's own thresholds (`data_buffer`, `index_flush_every`) bound
+//!   the memory a shard holds, and the producer whose write crosses one
+//!   lands the staged bytes itself.
+//! - **Group commit.** A shard's drain thread only decides *when* to
+//!   commit: it issues **one** `sync()` (the index append + flush)
+//!   amortized across every write accepted since the last one. The
+//!   fan-in — logical writes per index fsync — is the service's whole
+//!   economic argument, exported as `svc.commit.fanin`.
+//! - **State-driven wake-ups.** The drain thread commits when
+//!   `batch_ops` writes are uncommitted, a [`sync`] waits on it, the
+//!   service shuts down, or the oldest uncommitted write has waited
+//!   `flush_interval`. Each condition is state under the shard's lock
+//!   that the thread re-checks before it sleeps, so no wake-up can be
+//!   lost. The straggler deadline is the only timed wait; a shard with
+//!   nothing uncommitted sleeps until a write arrives.
 //! - **Lazy drain threads.** A shard's thread is spawned by the first
 //!   write the shard accepts, not by [`IngestService::start`], so
 //!   starting a service costs only opening its writers, and a shard no
 //!   client hashes onto never costs a thread.
-//! - **Bounded backpressure.** Per-shard queues cap both ops and
-//!   bytes; a full queue blocks the producer (recorded as
-//!   `svc.queue.stalls` / `svc.queue.stall_ns`) instead of growing
-//!   without bound.
+//! - **Backpressure is the lock.** A producer that finds its shard busy
+//!   (a commit, an inline flush, another producer) waits for the lock,
+//!   recorded as `svc.queue.stalls` / `svc.queue.stall_ns`.
 //! - **External consistency.** Index stamps are taken from the shared
-//!   instance clock at *enqueue* time, not drain time, so cross-shard
-//!   overwrite resolution follows the order clients issued their
-//!   writes regardless of which shard drains first.
+//!   instance clock when a write is *accepted*, not when it commits, so
+//!   cross-shard overwrite resolution follows the order clients issued
+//!   their writes regardless of which shard commits first.
 //!
 //! Durability contract (see `DESIGN.md`): a returned [`write`] is an
-//! *accepted* write — queued, stamped, owed to the store. Only a
-//! returned [`sync`] (or [`close`]) is a durability barrier: every
-//! write accepted before it has been group-committed. After a
-//! crash-stop, `fsck::repair` recovers every barriered byte; writes
-//! accepted but not yet barriered may be lost (that is what the
+//! *accepted* write — staged in its shard's writer, stamped, owed to
+//! the store. Only a returned [`sync`] (or [`close`]) is a durability
+//! barrier: every write accepted before it has been group-committed.
+//! After a crash-stop, `fsck::repair` recovers every barriered byte;
+//! writes accepted but not yet barriered may be lost (that is what the
 //! barrier is *for*).
 //!
 //! [`write`]: IngestService::write
@@ -54,10 +60,9 @@ use crate::filesystem::Plfs;
 use crate::metrics::PlfsMetrics;
 use crate::write::Writer;
 use obs::trace::Phase;
-use obs::{Counter, Gauge, Histogram};
-use std::collections::VecDeque;
+use obs::{Counter, Histogram};
 use std::io;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -69,36 +74,25 @@ pub struct ServiceConfig {
     /// each). Aggregate ingest bandwidth scales with this as long as
     /// the backend does.
     pub shards: usize,
-    /// Per-shard queue cap in ops; a full queue blocks producers.
-    pub queue_ops: usize,
-    /// Per-shard queue cap in bytes. An empty queue admits any one
-    /// write, so a write larger than the cap is queued alone.
-    pub queue_bytes: usize,
-    /// Drain a shard as soon as this many ops are queued (the
+    /// Commit a shard as soon as this many writes are uncommitted (the
     /// batch-size half of the group-commit policy).
     pub batch_ops: usize,
-    /// Drain a shard once its oldest queued write has waited this long
-    /// (the flush-interval half; stragglers never wait longer than
+    /// Commit a shard once its oldest uncommitted write has waited this
+    /// long (the flush-interval half; stragglers never wait longer than
     /// this).
     pub flush_interval: Duration,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        ServiceConfig {
-            shards: 4,
-            queue_ops: 1024,
-            queue_bytes: 8 << 20,
-            batch_ops: 64,
-            flush_interval: Duration::from_millis(2),
-        }
+        ServiceConfig { shards: 4, batch_ops: 64, flush_interval: Duration::from_millis(2) }
     }
 }
 
 /// Cumulative service-level counters, returned by [`IngestService::close`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceStats {
-    /// Writes accepted into a queue.
+    /// Writes accepted into a shard's writer.
     pub enqueued_ops: u64,
     pub enqueued_bytes: u64,
     /// Writes made durable by a group commit.
@@ -106,9 +100,9 @@ pub struct ServiceStats {
     /// Group commits issued (index fsyncs). Fan-in =
     /// `committed_ops / group_commits`.
     pub group_commits: u64,
-    /// Producer blocks on a full queue.
+    /// Writes that found their shard's lock held and waited for it.
     pub backpressure_stalls: u64,
-    /// Total time producers spent blocked, nanoseconds.
+    /// Total time those writes waited, nanoseconds.
     pub backpressure_stall_ns: u64,
 }
 
@@ -123,95 +117,116 @@ impl ServiceStats {
     }
 }
 
-/// One write waiting in a shard queue.
-struct QueuedWrite {
-    offset: u64,
-    data: Vec<u8>,
-    /// Index stamp, taken from the instance clock at enqueue time.
-    stamp: u64,
-    /// Per-shard acceptance sequence number (1-based).
-    seq: u64,
-}
-
-/// Sticky failure: the first surfaced drain/backpressure error poisons
-/// its shard. `io::Error` is not `Clone`, so the kind + message are
-/// kept and re-minted for every subsequent caller.
+/// Sticky failure: the first writer error or panic poisons its shard.
+/// `io::Error` is not `Clone`, so the kind + message are kept and
+/// re-minted for every subsequent caller.
 type ShardFailure = (io::ErrorKind, String);
 
-/// Fails its shard if the drain thread unwinds (a panic in the store
-/// below), waking producers and barrier waiters as a store error does:
-/// no `sync` waits forever on a dead thread.
+/// Fails its shard if the thread holding it unwinds (a panic in the
+/// store below a commit or a producer's inline flush), waking the drain
+/// thread and barrier waiters as a store error does: no `sync` waits
+/// forever on a shard whose writer died mid-call.
 struct FailOnUnwind<'a>(&'a Shard);
 
 impl Drop for FailOnUnwind<'_> {
     fn drop(&mut self) {
         if thread::panicking() {
             let shard = self.0;
-            // No panic here, mid-unwind: a store panic never holds
-            // `state`, and setting `failed` is valid whatever it held.
-            let mut st = shard.state.lock().unwrap_or_else(PoisonError::into_inner);
-            st.failed = Some((io::ErrorKind::Other, "ingest drain thread panicked".into()));
-            shard.space.notify_all();
+            shard.lock().lose_writer();
+            shard.work.notify_one();
             shard.done.notify_all();
         }
     }
 }
 
 #[derive(Default)]
-struct ShardQueue {
-    queue: VecDeque<QueuedWrite>,
-    bytes: usize,
-    /// When the oldest queued write was accepted; `None` while empty.
+struct ShardState {
+    /// `None` once [`IngestService::close`] has consumed it.
+    writer: Option<Writer>,
+    /// When the oldest uncommitted write was accepted; `None` while
+    /// everything accepted is committed.
     oldest: Option<Instant>,
-    /// Sequence of the last accepted write.
+    /// Sequence of the last accepted write (1-based).
     enqueued_seq: u64,
     /// Sequence of the last write made durable by a group commit.
     committed_seq: u64,
     /// Sequence a [`IngestService::sync`] waits to see committed.
     barrier_seq: u64,
-    /// Producers blocked on a full queue.
-    blocked: usize,
     shutdown: bool,
     failed: Option<ShardFailure>,
     /// The drain thread, once the shard's first write spawned it.
     drainer: Option<JoinHandle<()>>,
 }
 
-impl ShardQueue {
-    /// Would a write of `len` bytes overflow the queue caps? An empty
-    /// queue admits any write: a write larger than `queue_bytes` could
-    /// never fit otherwise, and the drain thread has nothing to free.
-    fn full(&self, cfg: &ServiceConfig, len: usize) -> bool {
-        !self.queue.is_empty()
-            && (self.queue.len() >= cfg.queue_ops || self.bytes + len > cfg.queue_bytes)
+impl ShardState {
+    /// A thread panicked inside a writer call, so the writer's state is
+    /// unknown: an index entry may be queued for bytes that never
+    /// landed, or landed torn. Fail the shard and drop the writer
+    /// unflushed, as a crash would, so nothing commits that entry.
+    fn lose_writer(&mut self) {
+        let panicked = || (io::ErrorKind::Other, "ingest shard writer panicked".into());
+        self.failed.get_or_insert_with(panicked);
+        if let Some(writer) = self.writer.take() {
+            writer.abandon();
+        }
     }
 
-    /// Must the drain thread commit the queue now?
+    /// Must the drain thread commit now?
     fn due(&self, cfg: &ServiceConfig) -> bool {
-        !self.queue.is_empty()
-            && (self.queue.len() >= cfg.batch_ops
+        let uncommitted = self.enqueued_seq - self.committed_seq;
+        uncommitted > 0
+            && (uncommitted >= cfg.batch_ops as u64
                 || self.barrier_seq > self.committed_seq
-                || self.blocked > 0
                 || self.shutdown
                 || self.oldest.is_some_and(|t| t.elapsed() >= cfg.flush_interval))
     }
 }
 
 struct Shard {
-    state: Mutex<ShardQueue>,
-    /// The drain thread waits here for its queue to become due.
+    /// The writer and the commit bookkeeping; held across writer calls,
+    /// so a panic below one poisons it (see [`Shard::recover`]).
+    state: Mutex<ShardState>,
+    /// The drain thread waits here for a commit to become due.
     work: Condvar,
-    /// Producers blocked on a full queue wait here.
-    space: Condvar,
     /// Barrier waiters ([`IngestService::sync`]) wait here.
     done: Condvar,
-    /// `None` once [`IngestService::close`] has consumed it.
-    writer: Mutex<Option<Writer>>,
-    depth: Gauge,
-    depth_bytes: Gauge,
     stalls: Counter,
     commits: Counter,
     committed_ops: Counter,
+}
+
+impl Shard {
+    fn lock(&self) -> MutexGuard<'_, ShardState> {
+        Shard::recover(self.state.lock())
+    }
+
+    /// Wait on `cv`, for at most `timeout` if one is given.
+    fn wait<'a>(
+        cv: &Condvar,
+        st: MutexGuard<'a, ShardState>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, ShardState> {
+        Shard::recover(match timeout {
+            None => cv.wait(st),
+            Some(t) => cv
+                .wait_timeout(st, t)
+                .map(|(st, _)| st)
+                .map_err(|p| PoisonError::new(p.into_inner().0)),
+        })
+    }
+
+    /// Every way into the state goes through here. A poisoned lock means
+    /// a thread panicked inside a writer call, and `FailOnUnwind` only
+    /// runs once its guard is gone: whoever takes the lock first, the
+    /// drain thread or another producer, fails the shard before it can
+    /// touch the writer.
+    fn recover(res: LockResult<MutexGuard<'_, ShardState>>) -> MutexGuard<'_, ShardState> {
+        res.unwrap_or_else(|poisoned| {
+            let mut st = poisoned.into_inner();
+            st.lose_writer();
+            st
+        })
+    }
 }
 
 struct Inner {
@@ -230,65 +245,46 @@ impl Inner {
         io::Error::new(failure.0, failure.1.clone())
     }
 
-    /// A shard's drain thread: sleep until the queue is due, take all
-    /// of it (freeing producers at once — the batch is already bounded
-    /// by the queue caps), group-commit it, repeat. Exits on shutdown
-    /// once the queue is empty, or on the shard's first failure; a panic
-    /// fails the shard on its way out (`FailOnUnwind`).
+    fn closed() -> io::Error {
+        io::Error::new(io::ErrorKind::BrokenPipe, "ingest service closed")
+    }
+
+    /// A shard's drain thread: sleep until a commit is due, then
+    /// group-commit every accepted write with one `sync()`, repeat.
+    /// Exits on shutdown once everything is committed, or on the
+    /// shard's first failure; a panic fails the shard on its way out
+    /// (`FailOnUnwind`).
     fn run_drainer(&self, shard: &Shard) {
         let _unwind = FailOnUnwind(shard);
-        let mut st = shard.state.lock().unwrap();
+        let mut st = shard.lock();
         loop {
-            if st.failed.is_some() || (st.shutdown && st.queue.is_empty()) {
+            if st.failed.is_some() || (st.shutdown && st.enqueued_seq == st.committed_seq) {
                 return;
             }
             if !st.due(&self.cfg) {
-                st = match st.oldest {
-                    Some(t) => {
-                        let left = self.cfg.flush_interval.saturating_sub(t.elapsed());
-                        shard.work.wait_timeout(st, left).unwrap().0
-                    }
-                    None => shard.work.wait(st).unwrap(),
-                };
+                let left = st.oldest.map(|t| self.cfg.flush_interval.saturating_sub(t.elapsed()));
+                st = Shard::wait(&shard.work, st, left);
                 continue;
             }
-            st.bytes = 0;
-            st.oldest = None;
-            shard.depth.set(0);
-            shard.depth_bytes.set(0);
-            let batch: Vec<QueuedWrite> = std::mem::take(&mut st.queue).into();
-            shard.space.notify_all();
-            drop(st);
-            // The group commit: every write with its enqueue-time
-            // stamp, then ONE sync — one index append + flush
-            // amortized over the batch.
+            // The group commit: ONE sync — one index append + flush
+            // amortized over every write accepted since the last one.
+            // Producers wait on the lock meanwhile.
+            let target = st.enqueued_seq;
             let span = self.metrics.trace.start("svc.group_commit", Phase::Transfer, "svc", 0);
-            let res = (|| {
-                let mut guard = shard.writer.lock().unwrap();
-                let w = guard.as_mut().ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::BrokenPipe, "ingest service closed")
-                })?;
-                for q in &batch {
-                    w.write_at_stamped(q.offset, &q.data, q.stamp)?;
-                }
-                w.sync()
-            })();
+            let res = st.writer.as_mut().map_or_else(|| Err(Inner::closed()), Writer::sync);
             span.end();
-            st = shard.state.lock().unwrap();
             match res {
                 Ok(()) => {
-                    st.committed_seq = batch.last().map_or(st.committed_seq, |q| q.seq);
+                    let batch = target - st.committed_seq;
+                    st.committed_seq = target;
+                    st.oldest = None;
                     shard.commits.inc();
-                    shard.committed_ops.add(batch.len() as u64);
-                    self.fanin.observe(batch.len() as u64);
+                    shard.committed_ops.add(batch);
+                    self.fanin.observe(batch);
                 }
-                Err(e) => {
-                    // Sticky: the shard's writer state is unknown past
-                    // the failure point, so everything after it must
-                    // surface.
-                    st.failed = Some((e.kind(), e.to_string()));
-                    shard.space.notify_all();
-                }
+                // Sticky: the shard's writer state is unknown past the
+                // failure point, so everything after it must surface.
+                Err(e) => st.failed = Some((e.kind(), e.to_string())),
             }
             shard.done.notify_all();
         }
@@ -307,7 +303,6 @@ impl IngestService {
     /// spawned by the first write it accepts.
     pub fn start(fs: &Plfs, logical: &str, cfg: ServiceConfig) -> io::Result<IngestService> {
         assert!(cfg.shards > 0, "need at least one shard");
-        assert!(cfg.queue_ops > 0 && cfg.queue_bytes > 0, "queue caps must be positive");
         assert!(cfg.batch_ops > 0, "batch size must be positive");
         let metrics = fs.metrics().clone();
         let reg = metrics.registry.clone();
@@ -317,13 +312,9 @@ impl IngestService {
             let sl = s.to_string();
             let labels: &[(&str, &str)] = &[("shard", &sl)];
             shards.push(Shard {
-                state: Mutex::new(ShardQueue::default()),
+                state: Mutex::new(ShardState { writer: Some(writer), ..Default::default() }),
                 work: Condvar::new(),
-                space: Condvar::new(),
                 done: Condvar::new(),
-                writer: Mutex::new(Some(writer)),
-                depth: reg.gauge_with("svc.queue.depth", labels),
-                depth_bytes: reg.gauge_with("svc.queue.depth_bytes", labels),
                 stalls: reg.counter_with("svc.queue.stalls", labels),
                 commits: reg.counter_with("svc.commits", labels),
                 committed_ops: reg.counter_with("svc.committed_ops", labels),
@@ -346,28 +337,28 @@ impl IngestService {
         &self.inner.cfg
     }
 
-    /// Accept one write from `client`. Returns once the write is queued
-    /// and stamped (a *queued ack*, not a durability guarantee — see
-    /// the module docs); blocks while the client's shard queue is full.
+    /// Accept one write from `client`. Returns once the write is
+    /// stamped and staged in its shard's writer (an *accepted* write,
+    /// not a durability guarantee — see the module docs); waits while
+    /// the shard is busy with a commit or another producer's write. A
+    /// writer error fails the shard and is returned.
     pub fn write(&self, client: u32, offset: u64, data: &[u8]) -> io::Result<()> {
         let inner = &self.inner;
         let idx = client as usize % inner.cfg.shards;
         let shard = &inner.shards[idx];
-        let cfg = &inner.cfg;
-        let mut st = shard.state.lock().unwrap();
-        if st.failed.is_none() && st.full(cfg, data.len()) {
-            // Backpressure: block rather than buffer without bound. A
-            // blocked producer is itself a reason to drain.
-            shard.stalls.inc();
-            let t0 = Instant::now();
-            st.blocked += 1;
-            shard.work.notify_one();
-            while st.failed.is_none() && st.full(cfg, data.len()) {
-                st = shard.space.wait(st).unwrap();
+        let _unwind = FailOnUnwind(shard);
+        let mut st = match shard.state.try_lock() {
+            Ok(st) => st,
+            Err(TryLockError::Poisoned(p)) => Shard::recover(Err(p)),
+            Err(TryLockError::WouldBlock) => {
+                // Backpressure: the shard is busy, so wait for it.
+                shard.stalls.inc();
+                let t0 = Instant::now();
+                let st = shard.lock();
+                inner.stall_ns.add(t0.elapsed().as_nanos() as u64);
+                st
             }
-            st.blocked -= 1;
-            inner.stall_ns.add(t0.elapsed().as_nanos() as u64);
-        }
+        };
         if let Some(f) = &st.failed {
             return Err(Inner::shard_err(f));
         }
@@ -379,26 +370,27 @@ impl IngestService {
                 .map_err(|e| io::Error::other(format!("spawning drain thread: {e}")))?;
             st.drainer = Some(drainer);
         }
-        // Stamp at enqueue: overwrite order across shards follows the
-        // order clients issued writes, not the order shards drain.
+        // Stamp at acceptance: overwrite order across shards follows
+        // the order clients issued writes, not the order shards commit.
         let stamp = inner.metrics.clock.stamp();
-        st.enqueued_seq += 1;
-        let seq = st.enqueued_seq;
-        st.bytes += data.len();
-        if st.queue.is_empty() {
+        let writer = st.writer.as_mut().ok_or_else(Inner::closed)?;
+        if let Err(e) = writer.write_at_stamped(offset, data, stamp) {
+            st.failed = Some((e.kind(), e.to_string()));
+            shard.done.notify_all();
+            return Err(e);
+        }
+        if st.enqueued_seq == st.committed_seq {
             st.oldest = Some(Instant::now());
         }
-        st.queue.push_back(QueuedWrite { offset, data: data.to_vec(), stamp, seq });
-        let (depth, bytes) = (st.queue.len(), st.bytes);
+        st.enqueued_seq += 1;
+        let uncommitted = st.enqueued_seq - st.committed_seq;
         drop(st);
-        shard.depth.set(depth as i64);
-        shard.depth_bytes.set(bytes as i64);
         inner.enqueued_ops.inc();
         inner.enqueued_bytes.add(data.len() as u64);
-        // The first write arms the straggler deadline; a full batch is
-        // due now. Later writes need no wake-up: the drain thread
-        // re-checks its queue before it sleeps.
-        if depth == 1 || depth == cfg.batch_ops {
+        // The first uncommitted write arms the straggler deadline; a
+        // full batch is due now. Later writes need no wake-up: the
+        // drain thread re-checks its state before it sleeps.
+        if uncommitted == 1 || uncommitted == inner.cfg.batch_ops as u64 {
             shard.work.notify_one();
         }
         Ok(())
@@ -417,7 +409,7 @@ impl IngestService {
             .shards
             .iter()
             .map(|shard| {
-                let mut st = shard.state.lock().unwrap();
+                let mut st = shard.lock();
                 if st.enqueued_seq > st.committed_seq {
                     st.barrier_seq = st.enqueued_seq;
                     shard.work.notify_one();
@@ -427,9 +419,9 @@ impl IngestService {
             .collect();
         let mut res = Ok(());
         for (shard, &target) in inner.shards.iter().zip(&targets) {
-            let mut st = shard.state.lock().unwrap();
+            let mut st = shard.lock();
             while st.committed_seq < target && st.failed.is_none() {
-                st = shard.done.wait(st).unwrap();
+                st = Shard::wait(&shard.done, st, None);
             }
             if let (Ok(()), Some(f)) = (&res, &st.failed) {
                 res = Err(Inner::shard_err(f));
@@ -468,12 +460,9 @@ impl IngestService {
         let mut res = self.sync();
         self.shutdown();
         for shard in &self.inner.shards {
-            // A writer whose drain thread panicked mid-commit is in an
-            // unknown state: leave it unclosed and surface the loss.
-            let r = match shard.writer.lock() {
-                Ok(mut guard) => guard.take().map_or(Ok(()), |w| w.close().map(drop)),
-                Err(_) => Err(io::Error::other("ingest shard writer lost to a panic")),
-            };
+            // A shard that lost its writer to a panic has none left to
+            // close; its failure already failed the barrier above.
+            let r = shard.lock().writer.take().map_or(Ok(()), |w| w.close().map(drop));
             if let (Ok(()), Err(e)) = (&res, r) {
                 res = Err(e);
             }
@@ -481,15 +470,15 @@ impl IngestService {
         res.map(|()| self.stats())
     }
 
-    /// Tell every drain thread to commit what is queued and exit, then
-    /// join them all.
+    /// Tell every drain thread to commit what is accepted and exit,
+    /// then join them all.
     fn shutdown(&self) {
         let drainers: Vec<JoinHandle<()>> = self
             .inner
             .shards
             .iter()
             .filter_map(|shard| {
-                let mut st = shard.state.lock().unwrap();
+                let mut st = shard.lock();
                 st.shutdown = true;
                 shard.work.notify_one();
                 st.drainer.take()
@@ -503,7 +492,7 @@ impl IngestService {
 
 impl Drop for IngestService {
     fn drop(&mut self) {
-        // Best-effort: the drain threads commit what is queued and
+        // Best-effort: the drain threads commit what is accepted and
         // exit; writers flush on their own Drop. Errors surface only on
         // explicit sync/close.
         self.shutdown();
@@ -515,6 +504,7 @@ mod tests {
     use super::*;
     use crate::backend::{Backend, MemBackend};
     use crate::filesystem::{Plfs, PlfsConfig};
+    use crate::write::WriterConfig;
     use obs::Registry;
 
     fn service_fs(reg: &Registry) -> Plfs {
@@ -549,7 +539,7 @@ mod tests {
     #[test]
     fn later_enqueue_wins_across_shards() {
         // Two clients on different shards overwrite the same range; the
-        // enqueue-time stamp, not the drain order, must decide.
+        // acceptance-time stamp, not the commit order, must decide.
         let reg = Registry::new();
         let fs = service_fs(&reg);
         let svc =
@@ -575,7 +565,6 @@ mod tests {
                 shards: 1,
                 batch_ops: 1 << 30, // only the barrier drains
                 flush_interval: Duration::from_secs(3600),
-                ..Default::default()
             },
         )
         .unwrap();
@@ -590,61 +579,54 @@ mod tests {
     }
 
     #[test]
-    fn backpressure_blocks_instead_of_growing() {
-        // The 1 h run puts the straggler timer out of reach: only state
-        // wake-ups (a full batch, a blocked producer) can free the
-        // producer.
-        for flush_interval in [ServiceConfig::default().flush_interval, Duration::from_secs(3600)] {
-            let reg = Registry::new();
-            let fs = service_fs(&reg);
-            let svc = IngestService::start(
-                &fs,
-                "/bp",
-                ServiceConfig {
-                    shards: 1,
-                    queue_ops: 8,
-                    batch_ops: 8,
-                    flush_interval,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            // Far more writes than the queue holds: every one must be
-            // accepted (blocking, not erroring), and the stall counter
-            // must show the queue actually filled.
-            for i in 0..512u64 {
-                svc.write(0, i * 64, &[2u8; 64]).unwrap();
-            }
-            let stats = svc.close().unwrap();
-            assert_eq!(stats.committed_ops, 512);
-            assert!(stats.backpressure_stalls > 0, "queue of 8 never filled under 512 writes");
-            assert_eq!(fs.open_reader("/bp").unwrap().read_all().unwrap().len(), 512 * 64);
+    fn full_batches_commit_without_the_straggler_timer() {
+        // The 1 h flush interval puts the straggler timer out of reach:
+        // only the full-batch wake-up and the final barrier can commit.
+        let reg = Registry::new();
+        let fs = service_fs(&reg);
+        let cfg =
+            ServiceConfig { shards: 1, batch_ops: 8, flush_interval: Duration::from_secs(3600) };
+        let svc = IngestService::start(&fs, "/bp", cfg).unwrap();
+        for i in 0..8u64 {
+            svc.write(0, i * 64, &[2u8; 64]).unwrap();
         }
+        let t0 = Instant::now();
+        while svc.stats().committed_ops < 8 {
+            assert!(t0.elapsed() < Duration::from_secs(30), "a full batch never committed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for i in 8..512u64 {
+            svc.write(0, i * 64, &[2u8; 64]).unwrap();
+        }
+        let stats = svc.close().unwrap();
+        assert_eq!(stats.committed_ops, 512);
+        assert_eq!(fs.open_reader("/bp").unwrap().read_all().unwrap().len(), 512 * 64);
     }
 
     #[test]
-    fn write_larger_than_the_byte_cap_is_admitted() {
+    fn write_larger_than_data_buffer_commits() {
         // A hang is the failure mode, so the body runs on its own
         // thread and the test fails when it does not finish in time.
+        let big = WriterConfig::default().data_buffer + 4096;
         let (tx, rx) = std::sync::mpsc::channel();
         let body = std::thread::spawn(move || {
             let reg = Registry::new();
             let fs = service_fs(&reg);
-            let cfg = ServiceConfig { shards: 1, queue_bytes: 1024, ..Default::default() };
+            let cfg = ServiceConfig { shards: 1, ..Default::default() };
             let svc = IngestService::start(&fs, "/big", cfg).unwrap();
-            svc.write(0, 0, &[7u8; 2048]).unwrap();
-            svc.write(0, 2048, &[8u8; 2048]).unwrap();
+            svc.write(0, 0, &vec![7u8; big]).unwrap();
+            svc.write(0, big as u64, &vec![8u8; big]).unwrap();
             let stats = svc.close().unwrap();
             let data = fs.open_reader("/big").unwrap().read_all().unwrap();
             tx.send((stats.committed_ops, data)).unwrap();
         });
         let (committed, data) = rx
             .recv_timeout(Duration::from_secs(30))
-            .expect("two writes over queue_bytes did not complete in 30 s");
+            .expect("two writes over data_buffer did not complete in 30 s");
         body.join().unwrap();
         assert_eq!(committed, 2);
-        assert_eq!(data.len(), 4096);
-        assert!(data[..2048].iter().all(|&x| x == 7) && data[2048..].iter().all(|&x| x == 8));
+        assert_eq!(data.len(), 2 * big);
+        assert!(data[..big].iter().all(|&x| x == 7) && data[big..].iter().all(|&x| x == 8));
     }
 
     #[test]
@@ -658,7 +640,6 @@ mod tests {
                 shards: 1,
                 batch_ops: 1 << 30,
                 flush_interval: Duration::from_millis(5),
-                ..Default::default()
             },
         )
         .unwrap();
@@ -694,7 +675,6 @@ mod tests {
                 shards: 2,
                 batch_ops: 1 << 30,
                 flush_interval: Duration::from_secs(3600),
-                ..Default::default()
             },
         )
         .unwrap();
@@ -724,9 +704,9 @@ mod tests {
         svc.write(0, 0, &[4u8; 128]).unwrap();
         svc.sync().unwrap();
         faulty.crash_now();
-        svc.write(0, 128, &[4u8; 128]).unwrap(); // accepted into the queue
+        svc.write(0, 128, &[4u8; 128]).unwrap(); // accepted: staged in the writer
         assert!(svc.sync().is_err(), "barrier must surface the crash");
-        // Sticky: later writes fail fast instead of queueing forever.
+        // Sticky: later writes fail fast instead of being accepted.
         let mut failed = false;
         for i in 2..64u64 {
             if svc.write(0, i * 128, &[4u8; 128]).is_err() {
@@ -799,6 +779,87 @@ mod tests {
         let res = rx.recv_timeout(Duration::from_secs(5)).expect("sync still waiting after 5 s");
         assert!(res.is_err(), "a shard whose drain thread panicked must fail sync");
         helper.join().unwrap();
+        let svc = Arc::into_inner(svc).expect("the helper thread has joined");
+        assert!(svc.close().is_err(), "close must report the lost shard, not panic");
+    }
+
+    /// `FailOnUnwind` runs only after the panicking thread's guard has
+    /// poisoned the lock, so another thread can take the lock first.
+    /// Poisoning the lock with no `FailOnUnwind` at all opens that gap
+    /// for as long as the test likes: the drain thread (waking from its
+    /// straggler wait), a producer and a barrier each find the shard
+    /// failed, and the staged write's index entry never commits.
+    #[test]
+    fn a_thread_that_takes_a_poisoned_shard_first_fails_it() {
+        let reg = Registry::new();
+        let fs = service_fs(&reg);
+        let cfg = ServiceConfig {
+            shards: 1,
+            batch_ops: 1 << 30,
+            flush_interval: Duration::from_millis(100),
+        };
+        let svc = Arc::new(IngestService::start(&fs, "/gap", cfg).unwrap());
+        svc.write(0, 0, &[1u8; 64]).unwrap();
+        svc.sync().unwrap();
+        // Staged, not committed: the drain thread now sleeps on the
+        // straggler deadline.
+        svc.write(0, 0, &[2u8; 64]).unwrap();
+        let shard = &svc.inner.shards[0];
+        thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = shard.state.lock().unwrap();
+                panic!("injected panic while holding the shard");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        // Past the deadline: the drain thread has woken to the poisoned
+        // lock and must not have committed the staged write.
+        thread::sleep(Duration::from_millis(300));
+        assert_eq!(svc.stats().committed_ops, 1, "a poisoned shard committed");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let caller = Arc::clone(&svc);
+        let helper = thread::spawn(move || {
+            tx.send((caller.write(0, 64, &[3u8; 64]).is_err(), caller.sync().is_err())).unwrap()
+        });
+        let (write_failed, sync_failed) =
+            rx.recv_timeout(Duration::from_secs(5)).expect("shard still busy after 5 s");
+        helper.join().unwrap();
+        assert!(write_failed, "a write into a poisoned shard must fail");
+        assert!(sync_failed, "a barrier over a poisoned shard must fail");
+        let svc = Arc::into_inner(svc).expect("the helper thread has joined");
+        assert!(svc.close().is_err(), "close must report the lost shard");
+        // The lost writer was dropped unflushed: only the barriered
+        // bytes are visible.
+        assert_eq!(fs.open_reader("/gap").unwrap().read_all().unwrap(), vec![1u8; 64]);
+    }
+
+    #[test]
+    fn a_panicking_inline_flush_fails_the_shard_instead_of_hanging() {
+        let store = Arc::new(PanicOnAppend { below: MemBackend::new(), armed: false.into() });
+        let fs = Plfs::new(store.clone() as Arc<dyn Backend>, PlfsConfig::default());
+        let cfg = ServiceConfig { shards: 1, ..Default::default() };
+        let svc = Arc::new(IngestService::start(&fs, "/p", cfg).unwrap());
+        store.armed.store(true, std::sync::atomic::Ordering::SeqCst);
+        // Larger than `data_buffer`: the producer lands it itself, and
+        // the store panics under that append.
+        let big = vec![1u8; WriterConfig::default().data_buffer + 1];
+        let first =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.write(0, 0, &big)));
+        assert!(first.is_err(), "the store's panic reaches the producer");
+        // Every later call runs on a helper thread, so a hang fails the
+        // test instead of stalling it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = Arc::clone(&svc);
+        let helper = thread::spawn(move || {
+            let writes: Vec<bool> =
+                (1..4u64).map(|i| waiter.write(0, i << 24, &[2u8; 64]).is_err()).collect();
+            tx.send((writes, waiter.sync().is_err())).unwrap();
+        });
+        let (writes, sync_failed) =
+            rx.recv_timeout(Duration::from_secs(5)).expect("shard still busy after 5 s");
+        helper.join().unwrap();
+        assert!(writes.iter().all(|&failed| failed), "writes after the panic must fail");
+        assert!(sync_failed, "a shard whose writer panicked must fail sync");
         let svc = Arc::into_inner(svc).expect("the helper thread has joined");
         assert!(svc.close().is_err(), "close must report the lost shard, not panic");
     }

@@ -17,9 +17,9 @@
 //! Each log's queue is allocated once per writer: a flush clears it and
 //! keeps its capacity, so the data queue is a staging buffer the writer
 //! keeps for its lifetime rather than one it regrows after every flush.
-//! The data queue keeps at most twice `data_buffer`: a single write
-//! larger than that grows it for one flush, and the flush gives the
-//! excess back.
+//! A write of at least `data_buffer` bytes is never staged: the staged
+//! bytes land first, then the write straight from the caller's slice,
+//! so the data queue stays below twice `data_buffer`.
 
 use crate::backend::Backend;
 use crate::checksum::{chk_header, ChkBuilder, VERIFY_BLOCK};
@@ -58,7 +58,8 @@ impl Default for WriterConfig {
 /// the caller and then clears the queue, keeping its capacity, so a
 /// steady stream of flushes neither regrows it by doubling nor faults
 /// in fresh pages for it. The capacity kept is the largest the queue
-/// reached; the writer bounds the data queue's (see `flush_data`).
+/// reached; the writer never stages a write of `data_buffer` bytes or
+/// more, which bounds the data queue's.
 struct Log {
     path: String,
     /// Byte length of the file on the store.
@@ -76,40 +77,59 @@ impl Log {
         Log { path, stored, pending: Vec::new(), uncertain: false }
     }
 
-    /// Land `pending` at `stored`, resuming a torn earlier attempt, pass
-    /// the bytes that landed to `landed`, and return how many there were
-    /// (0 if nothing was queued). On failure the bytes stay queued for
-    /// the next flush.
+    /// Land `pending` at `stored`, resuming a torn earlier attempt, then
+    /// `direct` straight from the caller's slice, so a large write is not
+    /// copied into the queue first. Each run of bytes that lands is
+    /// passed to `landed`; returns how many bytes landed in all. On
+    /// failure whatever did not land stays queued, in order, for the
+    /// next flush.
     fn flush(
         &mut self,
-        backend: &dyn Backend,
-        retry: &RetryPolicy,
-        trace: &TraceCtx,
-        track: &str,
-        parent: u64,
-        landed: impl FnOnce(&[u8]),
+        to: &Sink,
+        direct: &[u8],
+        mut landed: impl FnMut(&[u8]),
     ) -> io::Result<usize> {
-        if self.pending.is_empty() {
-            return Ok(0);
+        let Log { path, stored, pending, uncertain } = self;
+        let torn = *uncertain;
+        let mut append = |bytes: &[u8], verify_first| {
+            let res = to.append_at(path, *stored, bytes, verify_first);
+            *uncertain = res.is_err();
+            res.map(|()| {
+                *stored += bytes.len() as u64;
+                landed(bytes);
+            })
+        };
+        let queued = pending.len();
+        let res = append(pending, torn);
+        if res.is_ok() {
+            pending.clear();
         }
-        let res = append_at_reliable(
-            backend,
-            retry,
-            &self.path,
-            self.stored,
-            &self.pending,
-            self.uncertain,
-            trace,
-            track,
-            parent,
-        );
-        self.uncertain = res.is_err();
-        res?;
-        let n = self.pending.len();
-        self.stored += n as u64;
-        landed(&self.pending);
-        self.pending.clear();
-        Ok(n)
+        // Only the queue can hold a torn attempt: once it has landed,
+        // `stored` is exact.
+        match res.and_then(|()| append(direct, false)) {
+            Ok(()) => Ok(queued + direct.len()),
+            Err(e) => {
+                pending.extend_from_slice(direct);
+                Err(e)
+            }
+        }
+    }
+}
+
+/// Where a flush lands its bytes: the store, its retry policy, and the
+/// trace span the appends are recorded under.
+struct Sink<'a> {
+    backend: &'a dyn Backend,
+    retry: &'a RetryPolicy,
+    trace: &'a TraceCtx,
+    track: &'a str,
+    parent: u64,
+}
+
+impl Sink<'_> {
+    fn append_at(&self, path: &str, base: u64, bytes: &[u8], verify_first: bool) -> io::Result<()> {
+        let Sink { backend, retry, trace, track, parent } = *self;
+        append_at_reliable(backend, retry, path, base, bytes, verify_first, trace, track, parent)
     }
 }
 
@@ -329,15 +349,20 @@ impl Writer {
             writer: self.rank,
             timestamp: ts,
         });
-        self.data.pending.extend_from_slice(data);
         self.max_logical = self.max_logical.max(offset + data.len() as u64);
         self.stats.writes += 1;
         self.stats.bytes += data.len() as u64;
         self.metrics.write_ops.inc();
         self.metrics.write_bytes.add(data.len() as u64);
 
-        if self.data.pending.len() >= self.cfg.data_buffer {
-            self.flush_data(op_id)?;
+        if data.len() >= self.cfg.data_buffer {
+            // Staging a write this large would only copy it.
+            self.flush_data(op_id, data)?;
+        } else {
+            self.data.pending.extend_from_slice(data);
+            if self.data.pending.len() >= self.cfg.data_buffer {
+                self.flush_data(op_id, &[])?;
+            }
         }
         if self.pending_index.len() >= self.cfg.index_flush_every {
             self.flush_index(op_id)?;
@@ -345,38 +370,34 @@ impl Writer {
         Ok(ts)
     }
 
-    fn flush_data(&mut self, parent: u64) -> io::Result<()> {
-        if self.data.pending.is_empty() {
+    /// Land the staged data, then `direct` from the caller's slice (see
+    /// `Log::flush`). The index entries stay queued behind both.
+    fn flush_data(&mut self, parent: u64, direct: &[u8]) -> io::Result<()> {
+        let appends = !self.data.pending.is_empty() as u64 + !direct.is_empty() as u64;
+        if appends == 0 {
             return Ok(());
         }
         let track = self.track();
         let span = self.metrics.trace.start("plfs.data_append", Phase::Transfer, &track, parent);
-        let crcs = &mut self.data_crcs;
-        let res = self.data.flush(
-            self.backend.as_ref(),
-            &self.retry,
-            &self.metrics.trace,
-            &track,
-            span.id(),
-            |landed| crcs.absorb(landed),
-        );
+        let to = Sink {
+            backend: self.backend.as_ref(),
+            retry: &self.retry,
+            trace: &self.metrics.trace,
+            track: &track,
+            parent: span.id(),
+        };
+        let res = self.data.flush(&to, direct, |landed| self.data_crcs.absorb(landed));
         span.end();
         res?;
-        // Queuing up to `data_buffer` and then one more write doubles the
-        // queue at most once. A larger write grew it further: give that
-        // back rather than hold it until `close`.
-        if self.data.pending.capacity() > 2 * self.cfg.data_buffer {
-            self.data.pending.shrink_to(self.cfg.data_buffer);
-        }
-        self.stats.data_appends += 1;
-        self.metrics.data_appends.inc();
+        self.stats.data_appends += appends;
+        self.metrics.data_appends.add(appends);
         Ok(())
     }
 
     /// Land the queued index entries, after the data they point at: no
     /// index record may reach the store before its bytes.
     fn flush_index(&mut self, parent: u64) -> io::Result<()> {
-        self.flush_data(parent)?;
+        self.flush_data(parent, &[])?;
         encode_compressed_into(&self.pending_index, &mut self.index.pending);
         self.pending_index.clear();
         if self.index.pending.is_empty() {
@@ -384,15 +405,14 @@ impl Writer {
         }
         let track = self.track();
         let span = self.metrics.trace.start("plfs.index_append", Phase::Transfer, &track, parent);
-        let crcs = &mut self.index_crcs;
-        let res = self.index.flush(
-            self.backend.as_ref(),
-            &self.retry,
-            &self.metrics.trace,
-            &track,
-            span.id(),
-            |landed| crcs.absorb(landed),
-        );
+        let to = Sink {
+            backend: self.backend.as_ref(),
+            retry: &self.retry,
+            trace: &self.metrics.trace,
+            track: &track,
+            parent: span.id(),
+        };
+        let res = self.index.flush(&to, &[], |landed| self.index_crcs.absorb(landed));
         span.end();
         let landed = res? as u64;
         self.stats.index_appends += 1;
@@ -409,7 +429,14 @@ impl Writer {
     /// Sidecar appends bypass the data/index append counters: they are
     /// integrity overhead, not workload I/O.
     fn flush_sidecars(&mut self, seal: bool) -> io::Result<()> {
-        let (backend, retry, untraced) = (self.backend.as_ref(), &self.retry, TraceCtx::disabled());
+        let untraced = TraceCtx::disabled();
+        let to = Sink {
+            backend: self.backend.as_ref(),
+            retry: &self.retry,
+            trace: &untraced,
+            track: "",
+            parent: 0,
+        };
         let mut res = Ok(());
         for (log, crcs) in
             [(&mut self.chk, &mut self.data_crcs), (&mut self.chki, &mut self.index_crcs)]
@@ -418,7 +445,7 @@ impl Writer {
             if let Some(crc) = crcs.tail_crc().filter(|_| seal) {
                 log.pending.extend_from_slice(&crc.to_le_bytes());
             }
-            res = res.and(log.flush(backend, retry, &untraced, "", 0, |_| ()).map(drop));
+            res = res.and(log.flush(&to, &[], |_| ()).map(drop));
         }
         res
     }
@@ -470,6 +497,13 @@ impl Writer {
             rec.record(self.paths.base(), self.rank, OpKind::CloseWriter, 0, 0, result);
         }
         res.map(|()| self.stats)
+    }
+
+    /// Drop the handle without flushing, as a crash would: for a writer
+    /// whose state is unknown because a panic unwound through one of
+    /// its calls. Whatever it still queues is lost.
+    pub(crate) fn abandon(mut self) {
+        self.closed = true;
     }
 }
 
@@ -686,11 +720,11 @@ mod tests {
         assert_sidecar_covers(&b, &p.index_chk_dropping(0), &p.index_dropping(0));
     }
 
-    /// A write far larger than `data_buffer` is not kept resident until
-    /// `close`: the flush that lands it shrinks the data queue back,
-    /// write-through (threshold 0) included.
+    /// A write far larger than `data_buffer` lands from the caller's
+    /// slice and never grows the data queue, write-through (threshold
+    /// 0) included.
     #[test]
-    fn data_queue_gives_back_an_oversized_write() {
+    fn data_queue_never_stages_an_oversized_write() {
         for data_buffer in [0, 4096] {
             let (b, p, m) = setup();
             let cfg = WriterConfig { data_buffer, index_flush_every: 1 << 30 };

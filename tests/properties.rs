@@ -288,8 +288,9 @@ impl Workload {
             let cfg = ServiceConfig { shards: 2, batch_ops: 4, ..Default::default() };
             let Ok(svc) = IngestService::start(fs, "/f", cfg) else { return };
             for (c, off, rec, barrier) in writes {
-                // A refused write is not queued, and a shard's failure
-                // is sticky: nothing later acks.
+                // A refused write is not acked: it failed its shard,
+                // and a shard's failure is sticky, so nothing later
+                // acks.
                 if svc.write(c as u32, off, &rec).is_err() {
                     break;
                 }
@@ -559,18 +560,21 @@ fn chunked_service_crash_sweep() {
 /// retries) from transient and torn appends on every file the writer
 /// touches, the workload keeps writing through them, then syncs until
 /// one succeeds. Every issued write must read back, at every buffer
-/// size. Write-through (`data_buffer: 0`) once dropped the bytes of a
-/// failed append while keeping its index entry: later writes failed
-/// forever with "shrank under us", and `sync`/`close` still committed
-/// index entries for bytes that never landed.
+/// size, and when writes of mixed sizes take both the staged path and
+/// the direct one (a write of at least `data_buffer` bytes lands from
+/// the caller's slice). Write-through (`data_buffer: 0`) once dropped
+/// the bytes of a failed append while keeping its index entry: later
+/// writes failed forever with "shrank under us", and `sync`/`close`
+/// still committed index entries for bytes that never landed.
 #[test]
 fn failed_writes_stay_queued_and_land_at_every_buffer_size() {
-    const REC: u64 = 24;
     const SLOTS: u64 = 48;
-    for data_buffer in [0, 64, 1 << 20] {
+    let inputs: [(usize, &[u64]); 4] =
+        [(0, &[24]), (64, &[24]), (1 << 20, &[24]), (64, &[24, 100, 40, 64, 8, 200])];
+    for (data_buffer, lens) in inputs {
         let mut surfaced = 0;
         for seed in 0..8u64 {
-            let tag = format!("buffer {data_buffer} seed {seed}");
+            let tag = format!("buffer {data_buffer} lens {lens:?} seed {seed}");
             let faulty = Arc::new(FaultyBackend::new(MemBackend::new(), FaultPlan::none(seed)));
             let order = Arc::new(OrderCheck::new(faulty.clone()));
             let fs = Plfs::new(
@@ -589,12 +593,13 @@ fn failed_writes_stay_queued_and_land_at_every_buffer_size() {
                 ..FaultPlan::none(seed)
             });
             let mut rng = Rng::new(500 + seed);
-            let mut want = vec![0u8; (SLOTS * REC) as usize];
+            let mut want = Vec::new();
             for slot in 0..SLOTS {
                 let w = &mut writers[rng.below(2) as usize];
                 let fill = (rng.below(251) + 1) as u8;
-                want[(slot * REC) as usize..((slot + 1) * REC) as usize].fill(fill);
-                surfaced += w.write_at(slot * REC, &[fill; REC as usize]).is_err() as u32;
+                let (off, len) = (want.len(), lens[slot as usize % lens.len()] as usize);
+                want.resize(off + len, fill);
+                surfaced += w.write_at(off as u64, &want[off..]).is_err() as u32;
                 if rng.chance(0.2) {
                     surfaced += w.sync().is_err() as u32;
                 }
@@ -615,7 +620,7 @@ fn failed_writes_stay_queued_and_land_at_every_buffer_size() {
             assert!(got == want, "{tag}: read back {} B, wrote {} B", got.len(), want.len());
             order.assert_in_order(); // the read-open's canonical.index too
         }
-        assert!(surfaced > 0, "buffer {data_buffer}: no error surfaced — weak test");
+        assert!(surfaced > 0, "buffer {data_buffer} lens {lens:?}: no error surfaced — weak test");
     }
 }
 
